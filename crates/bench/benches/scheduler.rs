@@ -15,11 +15,11 @@
 //!   sequential/parallel crossover documented in docs/PERFORMANCE.md. The
 //!   CI regression gate (`bench_guard --compare`) asserts Nthr ≤ 1thr for
 //!   the heavy-per-row workloads (`ie`, `news`) here.
-//! * `scheduler_executor` — the ready-queue executor vs the historical
-//!   wave-barrier baseline (and the sequential loop) on the *same*
-//!   compiled first-iteration plan, isolating raw executor performance
-//!   from compilation and materialization. The CI regression gate
-//!   asserts ready ≤ wave here.
+//! * `scheduler_executor` — `execute_plan` at parallelism 1 (`seq`, the
+//!   sequential loop) vs N threads (`ready`, the ready-queue executor) on
+//!   the *same* compiled first-iteration plan, isolating raw executor
+//!   performance from compilation and materialization. The CI regression
+//!   gate asserts ready ≤ seq on `ie` here.
 //! * `scheduler_warm` — the edit→rerun case: a persistent session flips
 //!   the learner's regularization each sample, so only the learner tail
 //!   recomputes against a warm store and a warm worker pool. This is the
@@ -35,9 +35,9 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use helix_core::compiler::compile;
 use helix_core::cost::CostModel;
 use helix_core::recompute::RecomputationPolicy;
-use helix_core::scheduler::execute_plan_with;
+use helix_core::scheduler::execute_plan;
 use helix_core::store::StoreOptions;
-use helix_core::{Engine, EngineConfig, ExecStrategy, LearnerParam, Session, Workflow};
+use helix_core::{Engine, EngineConfig, ExecOpts, LearnerParam, Session, Workflow};
 use helix_workloads::census::{census_workflow, generate_census, CensusDataSpec, CensusParams};
 use helix_workloads::ie::{ie_workflow, IeParams};
 use helix_workloads::news::{generate_news, news_workflow, NewsDataSpec, NewsParams};
@@ -208,16 +208,13 @@ fn bench_scheduler(c: &mut Criterion) {
             .unwrap();
         let cm = CostModel::new();
         let plan = compile(workflow, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
-        for (label, strategy) in [
-            ("seq", ExecStrategy::Sequential),
-            ("wave", ExecStrategy::WaveBarrier),
-            ("ready", ExecStrategy::ReadyQueue),
-        ] {
-            group.bench_with_input(BenchmarkId::new(*tag, label), &strategy, |b, &strategy| {
-                b.iter(|| {
-                    execute_plan_with(workflow, &plan, &store, strategy, threads, |_, _, _| Ok(()))
-                        .unwrap()
-                })
+        for (label, t) in [("seq", 1usize), ("ready", threads)] {
+            let opts = ExecOpts {
+                parallelism: t,
+                ..ExecOpts::default()
+            };
+            group.bench_with_input(BenchmarkId::new(*tag, label), &opts, |b, opts| {
+                b.iter(|| execute_plan(workflow, &plan, &store, opts, |_, _, _| Ok(())).unwrap())
             });
         }
     }

@@ -516,6 +516,17 @@ impl Engine {
         )
     }
 
+    /// Executor options from the engine configuration, drawing helper
+    /// threads from the engine's persistent pool.
+    pub(crate) fn exec_opts(&self) -> scheduler::ExecOpts {
+        scheduler::ExecOpts {
+            parallelism: self.config.parallelism,
+            partition_rows: self.config.partition_rows,
+            node_partition_rows: None,
+            pool: Some(std::sync::Arc::clone(&self.pool)),
+        }
+    }
+
     /// Runs one iteration against the engine's default lineage: compile →
     /// execute → materialize → record.
     ///
@@ -639,12 +650,10 @@ impl Engine {
             ))
         };
         let exec_opts = scheduler::ExecOpts {
-            parallelism: config.parallelism,
-            partition_rows: config.partition_rows,
             node_partition_rows,
-            pool: Some(std::sync::Arc::clone(&self.pool)),
+            ..self.exec_opts()
         };
-        let result = scheduler::execute_plan_opts(
+        let result = scheduler::execute_plan(
             workflow,
             &plan,
             store,

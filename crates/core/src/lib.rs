@@ -64,7 +64,7 @@ pub use ops::{
 pub use pool::WorkerPool;
 pub use recompute::{NodeState, RecomputationPolicy};
 pub use report::IterationReport;
-pub use scheduler::{default_parallelism, default_partition_rows, ExecOpts, ExecStrategy};
+pub use scheduler::{default_parallelism, default_partition_rows, ExecOpts};
 pub use session::{
     LearnerParam, Session, SessionHandle, SessionManager, UncertainExample, WorkflowEdit,
 };

@@ -18,6 +18,11 @@
 //! no valid materialization gets `l_i = L∞`, making the load-only choice
 //! prohibitively bad while `a_i + b_i` still nets exactly `−c_i`. Outputs'
 //! `a` projects are mandatory. One min-cut solves the whole instance.
+//!
+//! Two plan-shape helpers serve execution and reporting:
+//! [`critical_path_priority_us`] ranks ready nodes for the scheduler, and
+//! [`wave_levels`] assigns each node the dependency level its report
+//! timings are grouped under.
 
 use crate::workflow::{NodeId, Workflow};
 use crate::Result;
@@ -218,10 +223,11 @@ fn plan_load_all(workflow: &Workflow, active: &[bool], costs: &[NodeCosts]) -> V
 
 /// Dependency level ("wave") per node: `None` for pruned nodes, `Some(0)`
 /// for loads and for computes with no unpruned parents, and
-/// `1 + max(parent level)` for other computes. All nodes in one wave are
-/// mutually independent, so the parallel scheduler may run them
-/// concurrently; loads sit in wave 0 because the store satisfies them
-/// without upstream results.
+/// `1 + max(parent level)` for other computes. Loads sit in wave 0
+/// because the store satisfies them without upstream results. The
+/// executor does not run level by level (see `crate::scheduler`); levels
+/// only group the per-node timings into the derived per-wave summaries of
+/// iteration reports ([`crate::report::NodeReport::wave`]).
 pub fn wave_levels(workflow: &Workflow, states: &[NodeState]) -> Vec<Option<usize>> {
     let n = workflow.len();
     assert_eq!(states.len(), n, "states length mismatch");
@@ -253,60 +259,13 @@ pub fn wave_levels(workflow: &Workflow, states: &[NodeState]) -> Vec<Option<usiz
     levels
 }
 
-/// Partitions a plan's non-pruned nodes into dependency waves, preserving
-/// `order` within each wave: wave *k* holds exactly the nodes whose
-/// [`wave_levels`] level is `k`.
-///
-/// The executor no longer runs wave-by-wave (see `crate::scheduler` for
-/// the ready-queue model); waves survive as the unit of the critical-path
-/// cost estimate ([`plan_wave_cost_us`]) and of the derived per-wave
-/// timings in iteration reports.
-pub fn build_waves(
-    workflow: &Workflow,
-    order: &[NodeId],
-    states: &[NodeState],
-) -> Vec<Vec<NodeId>> {
-    let levels = wave_levels(workflow, states);
-    let n_waves = levels.iter().flatten().copied().max().map_or(0, |l| l + 1);
-    let mut waves: Vec<Vec<NodeId>> = vec![Vec::new(); n_waves];
-    for &id in order {
-        if let Some(level) = levels[id.index()] {
-            waves[level].push(id);
-        }
-    }
-    waves
-}
-
-/// Estimated makespan of the plan in µs under unbounded parallelism: the
-/// per-wave maximum of member costs, summed over waves. The gap between
-/// this and [`plan_cost_us`] is the speedup ceiling a parallel executor
-/// can extract from the plan.
-pub fn plan_wave_cost_us(workflow: &Workflow, states: &[NodeState], costs: &[NodeCosts]) -> u64 {
-    let levels = wave_levels(workflow, states);
-    let mut wave_max: Vec<u64> = Vec::new();
-    for (i, level) in levels.iter().enumerate() {
-        let Some(level) = level else { continue };
-        if *level >= wave_max.len() {
-            wave_max.resize(level + 1, 0);
-        }
-        let cost = match states[i] {
-            NodeState::Compute => costs[i].compute_us,
-            NodeState::Load => costs[i].load_or_inf(),
-            NodeState::Prune => 0,
-        };
-        wave_max[*level] = wave_max[*level].max(cost);
-    }
-    wave_max.iter().sum()
-}
-
 /// Per-node downstream critical-path estimate in µs: the node's own cost
 /// plus the most expensive chain of *compute* descendants hanging off it
 /// (`0` for pruned nodes). A node with a deep or expensive tail is the
 /// one to start first — the ready-queue scheduler uses these as pop
-/// priorities when more than one node is ready (see `crate::scheduler`),
-/// reusing the same per-node cost data as [`plan_wave_cost_us`]. Load
-/// children do not extend a parent's path: they read the store, not the
-/// parent's output.
+/// priorities when more than one node is ready (see `crate::scheduler`).
+/// Load children do not extend a parent's path: they read the store, not
+/// the parent's output.
 pub fn critical_path_priority_us(
     workflow: &Workflow,
     states: &[NodeState],
@@ -669,21 +628,21 @@ mod tests {
     }
 
     #[test]
-    fn build_waves_partitions_by_level_in_order() {
+    fn wave_levels_group_independent_nodes() {
+        // 0 -> {1, 2} -> 3 plus an isolated node 4: level k holds exactly
+        // the nodes whose unpruned parents all sit below it.
         let w = dag_workflow(5, &[(0, 1), (0, 2), (1, 3), (2, 3)], &[3, 4]);
         let states = vec![NodeState::Compute; 5];
-        let order: Vec<NodeId> = (0..5u32).map(NodeId).collect();
-        let waves = build_waves(&w, &order, &states);
-        assert_eq!(waves.len(), 3);
-        assert_eq!(waves[0], vec![NodeId(0), NodeId(4)]);
-        assert_eq!(waves[1], vec![NodeId(1), NodeId(2)]);
-        assert_eq!(waves[2], vec![NodeId(3)]);
-        let total: usize = waves.iter().map(Vec::len).sum();
-        assert_eq!(total, 5);
+        let levels = wave_levels(&w, &states);
+        assert_eq!(levels, vec![Some(0), Some(1), Some(1), Some(2), Some(0)]);
+        let depth = levels.iter().flatten().max().map_or(0, |l| l + 1);
+        assert_eq!(depth, 3);
     }
 
     #[test]
     fn wave_cost_is_critical_path_not_total() {
+        // The root's downstream estimate is the plan's critical path —
+        // the makespan under unbounded parallelism — not the total.
         let w = dag_workflow(4, &[(0, 1), (0, 2), (1, 3), (2, 3)], &[3]);
         let states = vec![NodeState::Compute; 4];
         let costs: Vec<NodeCosts> = [10, 40, 70, 20]
@@ -693,8 +652,9 @@ mod tests {
                 load_us: None,
             })
             .collect();
-        // Waves: {0} max 10, {1,2} max 70, {3} max 20.
-        assert_eq!(plan_wave_cost_us(&w, &states, &costs), 100);
+        // Longest chain 0 -> 2 -> 3: 10 + 70 + 20.
+        let prio = critical_path_priority_us(&w, &states, &costs);
+        assert_eq!(prio[0], 100);
         assert_eq!(plan_cost_us(&states, &costs), 140);
     }
 
@@ -758,10 +718,11 @@ mod tests {
             RecomputationPolicy::LoadAllAvailable,
         ] {
             let states = plan_states(&w, &all_active(&w), &costs, policy).unwrap();
-            assert!(
-                plan_wave_cost_us(&w, &states, &costs) <= plan_cost_us(&states, &costs),
-                "{policy:?}"
-            );
+            let critical_path = critical_path_priority_us(&w, &states, &costs)
+                .into_iter()
+                .max()
+                .unwrap_or(0);
+            assert!(critical_path <= plan_cost_us(&states, &costs), "{policy:?}");
         }
     }
 

@@ -1,5 +1,10 @@
 //! Ready-queue parallel plan execution with work stealing.
 //!
+//! [`execute_plan`] is the one entry point. At `parallelism = 1` it runs
+//! the sequential loop — one node at a time in plan order, the oracle
+//! every equivalence test compares against; at higher counts it runs the
+//! ready-queue executor described here.
+//!
 //! The compiled plan's topological `order` hides abundant inter-operator
 //! parallelism: Census fans one scan out into several extractors, and the
 //! IE pipeline runs five independent feature UDFs over the same candidate
@@ -17,21 +22,14 @@
 //! thieves take the oldest — widest-fanout — work). When the injector
 //! holds more than one entry, workers pop the node with the largest
 //! *downstream critical-path estimate*
-//! ([`crate::recompute::critical_path_priority_us`], built from the same
-//! per-node cost data as the wave cost estimate) instead of pure FIFO:
-//! starting the longest chain first keeps its dependents flowing while
-//! shallow work fills the remaining slots. Plan order breaks ties, and
-//! merge semantics are untouched — the plan-order merge cursor makes
+//! ([`crate::recompute::critical_path_priority_us`]) instead of pure
+//! FIFO: starting the longest chain first keeps its dependents flowing
+//! while shallow work fills the remaining slots. Plan order breaks ties,
+//! and merge semantics are untouched — the plan-order merge cursor makes
 //! results independent of execution order by construction. The thread
-//! count is capped at [`crate::EngineConfig::parallelism`].
-//!
-//! [`ExecStrategy::WaveBarrier`] keeps the historical wave executor
-//! alive solely as the baseline that `benches/scheduler.rs` and the
-//! regression CI measure the ready queue against;
-//! [`crate::recompute::build_waves`] /
-//! [`crate::recompute::wave_levels`] likewise survive as the
-//! critical-path cost estimator and the source of *derived* per-wave
-//! report timings.
+//! count is capped at [`crate::EngineConfig::parallelism`]. Dependency
+//! levels ([`crate::recompute::wave_levels`]) survive only as the source
+//! of the *derived* per-wave timings in iteration reports.
 //!
 //! # Determinism
 //!
@@ -68,7 +66,6 @@ use crate::report::WaveReport;
 use crate::store::IntermediateStore;
 use crate::workflow::{NodeId, Workflow};
 use crate::{HelixError, Result};
-use helix_dataflow::par::panic_message;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -103,7 +100,7 @@ pub fn default_partition_rows() -> usize {
 /// more slices only add merge overhead.
 const MAX_PARTITIONS: usize = 32;
 
-/// Tuning knobs for [`execute_plan_opts`].
+/// Tuning knobs for [`execute_plan`].
 #[derive(Debug, Clone)]
 pub struct ExecOpts {
     /// Worker-slot budget, counting the calling thread (which merges
@@ -165,24 +162,6 @@ fn global_pool() -> &'static Arc<WorkerPool> {
     POOL.get_or_init(|| Arc::new(WorkerPool::new()))
 }
 
-/// Which executor runs the plan. [`execute_plan`] picks automatically;
-/// the explicit variants exist for the scheduler benchmark and the
-/// equivalence tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecStrategy {
-    /// One node at a time in plan order — the classic iteration loop and
-    /// the behavior of `parallelism = 1`.
-    Sequential,
-    /// The historical barrier executor: dependency waves with a join
-    /// between levels. Kept only as the baseline the ready queue is
-    /// benchmarked against (`benches/scheduler.rs`).
-    WaveBarrier,
-    /// The dependency-counting ready-queue executor with per-worker
-    /// deques and work stealing — what the engine uses at
-    /// `parallelism > 1`.
-    ReadyQueue,
-}
-
 /// The raw, side-effect-free result of running one node.
 #[derive(Debug)]
 pub struct ExecutedNode {
@@ -221,39 +200,17 @@ struct RawResult {
 ///
 /// The merge callback owns every stateful step (cost observation,
 /// materialization, metric harvesting); see the module docs for why that
-/// split makes parallel execution deterministic. `parallelism = 1` runs
-/// the classic sequential loop: each node executes and merges before the
-/// next starts. Higher counts use the ready-queue executor, with `merge`
-/// still running on the calling thread.
+/// split makes parallel execution deterministic. `opts.parallelism <= 1`
+/// runs the sequential loop: each node executes and merges before the
+/// next starts (no partitioning — one thread gains nothing from splitting
+/// a node). Higher counts use the ready-queue executor, with `merge`
+/// still running on the calling thread. The engine passes its persistent
+/// pool in `opts`; standalone callers fall back to a process-global one.
 ///
 /// # Errors
 /// Propagates node execution failures (deterministically the
 /// plan-order-earliest failing node's error) and merge failures.
 pub fn execute_plan<M>(
-    workflow: &Workflow,
-    plan: &CompiledPlan,
-    store: &IntermediateStore,
-    parallelism: usize,
-    merge: M,
-) -> Result<ExecutionResult>
-where
-    M: FnMut(NodeId, &ExecutedNode, &NodeOutput) -> Result<()>,
-{
-    let opts = ExecOpts {
-        parallelism,
-        ..ExecOpts::default()
-    };
-    execute_plan_opts(workflow, plan, store, &opts, merge)
-}
-
-/// [`execute_plan`] with explicit [`ExecOpts`]: partition threshold and
-/// worker pool included. The engine calls this with its persistent pool;
-/// `parallelism <= 1` runs the sequential loop (no partitioning — one
-/// thread gains nothing from splitting a node).
-///
-/// # Errors
-/// Same contract as [`execute_plan`].
-pub fn execute_plan_opts<M>(
     workflow: &Workflow,
     plan: &CompiledPlan,
     store: &IntermediateStore,
@@ -268,45 +225,6 @@ where
     } else {
         execute_ready_queue(workflow, plan, store, opts, &mut merge)
     }
-}
-
-/// [`execute_plan`] with an explicit [`ExecStrategy`] — the entry point
-/// the scheduler benchmark uses to compare the ready queue against the
-/// wave baseline on identical plans.
-///
-/// # Errors
-/// Same contract as [`execute_plan`].
-pub fn execute_plan_with<M>(
-    workflow: &Workflow,
-    plan: &CompiledPlan,
-    store: &IntermediateStore,
-    strategy: ExecStrategy,
-    parallelism: usize,
-    mut merge: M,
-) -> Result<ExecutionResult>
-where
-    M: FnMut(NodeId, &ExecutedNode, &NodeOutput) -> Result<()>,
-{
-    match strategy {
-        ExecStrategy::Sequential => execute_sequential(workflow, plan, store, merge),
-        ExecStrategy::WaveBarrier => {
-            execute_wave_barrier(workflow, plan, store, parallelism.max(2), &mut merge)
-        }
-        ExecStrategy::ReadyQueue => {
-            let opts = ExecOpts {
-                parallelism: parallelism.max(2),
-                ..ExecOpts::default()
-            };
-            execute_ready_queue(workflow, plan, store, &opts, &mut merge)
-        }
-    }
-}
-
-fn plan_position(plan: &CompiledPlan, index: usize) -> usize {
-    plan.order
-        .iter()
-        .position(|id| id.index() == index)
-        .unwrap_or(usize::MAX)
 }
 
 /// Derives per-wave timings from per-node durations: `secs[i]` indexed by
@@ -771,7 +689,7 @@ impl ReadyExecutor {
                 Err(HelixError::Exec(format!(
                     "node `{}` panicked: {}",
                     node.name,
-                    panic_message(&payload)
+                    panic_message(&*payload)
                 )))
             })?;
             Ok((output, started.elapsed().as_secs_f64()))
@@ -1132,165 +1050,6 @@ where
     Ok(ExecutionResult { outputs, waves })
 }
 
-// ---------------------------------------------------------------------------
-// Wave-barrier baseline
-// ---------------------------------------------------------------------------
-
-/// The historical barrier executor, kept as the benchmark baseline: waves
-/// execute level-by-level with a join between levels, and the merge
-/// cursor drains between waves. Failure paths still merge (and record
-/// timings for) every completed node preceding the plan-order-earliest
-/// failure of the failing wave.
-fn execute_wave_barrier<M>(
-    workflow: &Workflow,
-    plan: &CompiledPlan,
-    store: &IntermediateStore,
-    parallelism: usize,
-    merge: &mut M,
-) -> Result<ExecutionResult>
-where
-    M: FnMut(NodeId, &ExecutedNode, &NodeOutput) -> Result<()>,
-{
-    let waves = crate::recompute::build_waves(workflow, &plan.order, &plan.states);
-    let n = workflow.len();
-    let mut outputs: Vec<Option<NodeOutput>> = (0..n).map(|_| None).collect();
-    let mut pending: Vec<Option<RawResult>> = (0..n).map(|_| None).collect();
-    let mut secs: Vec<Option<f64>> = vec![None; n];
-    let mut cursor = 0usize;
-
-    for wave in &waves {
-        let results = run_wave(workflow, plan, store, &outputs, &pending, wave, parallelism);
-        // Surface the plan-order-earliest failure so error behavior does
-        // not depend on thread interleaving.
-        let mut failure: Option<(usize, HelixError)> = None;
-        for (i, result) in results {
-            match result {
-                Ok(raw) => {
-                    secs[i] = Some(raw.executed.secs);
-                    pending[i] = Some(raw);
-                }
-                Err(err) => {
-                    let pos = plan_position(plan, i);
-                    if failure.as_ref().is_none_or(|(p, _)| pos < *p) {
-                        failure = Some((pos, err));
-                    }
-                }
-            }
-        }
-
-        // Drain the merge cursor as far as results allow — on failure,
-        // only up to the failing node's plan position, so side effects
-        // (materializations, cost observations) match what the
-        // sequential path commits before erroring at that same node.
-        let limit = failure
-            .as_ref()
-            .map_or(plan.order.len(), |(pos, _)| (*pos).min(plan.order.len()));
-        while cursor < limit {
-            let id = plan.order[cursor];
-            let i = id.index();
-            if plan.states[i] == NodeState::Prune {
-                cursor += 1;
-                continue;
-            }
-            let Some(raw) = pending[i].take() else { break };
-            merge(id, &raw.executed, &raw.output)?;
-            outputs[i] = Some(raw.output);
-            cursor += 1;
-        }
-        if let Some((_, err)) = failure {
-            return Err(err);
-        }
-    }
-    debug_assert_eq!(cursor, plan.order.len(), "merge cursor left nodes behind");
-
-    let waves = derive_waves(workflow, &plan.states, &secs, false);
-    Ok(ExecutionResult { outputs, waves })
-}
-
-/// Executes one wave's nodes on up to `parallelism` scoped threads,
-/// returning `(node_index, result)` pairs in unspecified order.
-fn run_wave(
-    workflow: &Workflow,
-    plan: &CompiledPlan,
-    store: &IntermediateStore,
-    outputs: &[Option<NodeOutput>],
-    pending: &[Option<RawResult>],
-    wave: &[NodeId],
-    parallelism: usize,
-) -> Vec<(usize, Result<RawResult>)> {
-    // Parent results live in `outputs` once merged, or in `pending` when
-    // the merge cursor is stalled behind an unrelated slower node.
-    let parent_output = |p: NodeId| -> Option<&NodeOutput> {
-        outputs[p.index()]
-            .as_ref()
-            .or_else(|| pending[p.index()].as_ref().map(|raw| &raw.output))
-    };
-
-    let workers = parallelism.min(wave.len()).max(1);
-    if workers <= 1 {
-        return wave
-            .iter()
-            .map(|&id| {
-                (
-                    id.index(),
-                    run_node(workflow, plan, store, id, parent_output),
-                )
-            })
-            .collect();
-    }
-
-    // Round-robin assignment keeps neighbouring (often similar-cost)
-    // nodes on different workers.
-    let shares: Vec<Vec<NodeId>> = (0..workers)
-        .map(|w| wave.iter().skip(w).step_by(workers).copied().collect())
-        .collect();
-    let mut results: Vec<(usize, Result<RawResult>)> = Vec::with_capacity(wave.len());
-    let joined = crossbeam::scope(|scope| {
-        let handles: Vec<_> = shares
-            .iter()
-            .map(|share| {
-                let parent_output = &parent_output;
-                scope.spawn(move |_| {
-                    share
-                        .iter()
-                        .map(|&id| {
-                            (
-                                id.index(),
-                                run_node(workflow, plan, store, id, parent_output),
-                            )
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut collected = Vec::with_capacity(wave.len());
-        for handle in handles {
-            match handle.join() {
-                Ok(share_results) => collected.extend(share_results),
-                Err(payload) => collected.push((
-                    usize::MAX,
-                    Err(HelixError::Exec(format!(
-                        "scheduler worker panicked: {}",
-                        panic_message(&payload)
-                    ))),
-                )),
-            }
-        }
-        collected
-    });
-    match joined {
-        Ok(collected) => results.extend(collected),
-        Err(payload) => results.push((
-            usize::MAX,
-            Err(HelixError::Exec(format!(
-                "scheduler scope panicked: {}",
-                panic_message(&payload)
-            ))),
-        )),
-    }
-    results
-}
-
 /// Executes a single node (load or compute), timing it. A panicking
 /// operator is converted to [`HelixError::Exec`] *here* — not at thread
 /// joins — so a UDF panic produces the same error whether the node ran
@@ -1309,9 +1068,21 @@ fn run_node<'a>(
         Err(HelixError::Exec(format!(
             "node `{}` panicked: {}",
             workflow.node(id).name,
-            panic_message(&payload)
+            panic_message(&*payload)
         )))
     })
+}
+
+/// Renders a caught panic payload as a message: UDF panics carry a
+/// `&str` or `String`; anything else gets a placeholder.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "<non-string payload>".to_string()
+    }
 }
 
 fn run_node_inner<'a>(
@@ -1444,7 +1215,7 @@ mod tests {
     use crate::compiler::compile;
     use crate::cost::CostModel;
     use crate::ops::{OperatorKind, Udf};
-    use crate::recompute::{build_waves, RecomputationPolicy};
+    use crate::recompute::RecomputationPolicy;
     use crate::workflow::NodeRef;
     use helix_dataflow::{DataCollection, DataType, Row, Schema, Value};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1458,6 +1229,14 @@ mod tests {
             .budget_bytes(1 << 24)
             .open()
             .unwrap()
+    }
+
+    /// Default options at an explicit thread count.
+    fn with_threads(parallelism: usize) -> ExecOpts {
+        ExecOpts {
+            parallelism,
+            ..ExecOpts::default()
+        }
     }
 
     fn int_rows(values: &[i64]) -> DataCollection {
@@ -1509,7 +1288,7 @@ mod tests {
         let cm = CostModel::new();
         let plan = compile(w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
         let mut merged = Vec::new();
-        let result = execute_plan(w, &plan, &store, parallelism, |id, _, _| {
+        let result = execute_plan(w, &plan, &store, &with_threads(parallelism), |id, _, _| {
             merged.push(id);
             Ok(())
         })
@@ -1549,14 +1328,12 @@ mod tests {
         let store = tmp_store("strategies");
         let cm = CostModel::new();
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
+        // Parallelism 1 is the sequential loop, the oracle; 2 and 4 run
+        // the ready queue through the same entry point.
         let mut reference: Option<(Vec<Option<NodeOutput>>, Vec<NodeId>)> = None;
-        for strategy in [
-            ExecStrategy::Sequential,
-            ExecStrategy::WaveBarrier,
-            ExecStrategy::ReadyQueue,
-        ] {
+        for parallelism in [1, 2, 4] {
             let mut merged = Vec::new();
-            let result = execute_plan_with(&w, &plan, &store, strategy, 4, |id, _, _| {
+            let result = execute_plan(&w, &plan, &store, &with_threads(parallelism), |id, _, _| {
                 merged.push(id);
                 Ok(())
             })
@@ -1564,8 +1341,11 @@ mod tests {
             match &reference {
                 None => reference = Some((result.outputs, merged)),
                 Some((outputs, order)) => {
-                    assert_eq!(outputs, &result.outputs, "{strategy:?} outputs");
-                    assert_eq!(order, &merged, "{strategy:?} merge order");
+                    assert_eq!(
+                        outputs, &result.outputs,
+                        "parallelism {parallelism} outputs"
+                    );
+                    assert_eq!(order, &merged, "parallelism {parallelism} merge order");
                 }
             }
         }
@@ -1592,11 +1372,10 @@ mod tests {
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
         assert_eq!(plan.order, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
         assert_eq!(plan.states[2], NodeState::Load);
-        let waves = build_waves(&w, &plan.order, &plan.states);
-        assert_eq!(waves[0], vec![NodeId(0), NodeId(2)]);
-        assert_eq!(waves[1], vec![NodeId(1), NodeId(3)]);
+        let levels = wave_levels(&w, &plan.states);
+        assert_eq!(levels, vec![Some(0), Some(1), Some(0), Some(1)]);
         let mut merged = Vec::new();
-        let result = execute_plan(&w, &plan, &store, 4, |id, _, _| {
+        let result = execute_plan(&w, &plan, &store, &with_threads(4), |id, _, _| {
             merged.push(id);
             Ok(())
         })
@@ -1632,7 +1411,7 @@ mod tests {
         let mut merged_by_mode: Vec<Vec<NodeId>> = Vec::new();
         for parallelism in [1, 4] {
             let mut merged = Vec::new();
-            let err = execute_plan(&w, &plan, &store, parallelism, |id, _, _| {
+            let err = execute_plan(&w, &plan, &store, &with_threads(parallelism), |id, _, _| {
                 merged.push(id);
                 Ok(())
             })
@@ -1684,10 +1463,16 @@ mod tests {
         let mut merged_by_mode: Vec<Vec<(NodeId, f64)>> = Vec::new();
         for parallelism in [1, 2, 8] {
             let mut merged = Vec::new();
-            let err = execute_plan(&w, &plan, &store, parallelism, |id, executed, _| {
-                merged.push((id, executed.secs));
-                Ok(())
-            })
+            let err = execute_plan(
+                &w,
+                &plan,
+                &store,
+                &with_threads(parallelism),
+                |id, executed, _| {
+                    merged.push((id, executed.secs));
+                    Ok(())
+                },
+            )
             .expect_err("boom must propagate");
             assert!(
                 err.to_string().contains("boom failed"),
@@ -1731,7 +1516,7 @@ mod tests {
         let store = tmp_store("panic");
         let cm = CostModel::new();
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
-        let err = execute_plan(&w, &plan, &store, 4, |_, _, _| Ok(()))
+        let err = execute_plan(&w, &plan, &store, &with_threads(4), |_, _, _| Ok(()))
             .expect_err("panicking UDF must become an error");
         assert!(err.to_string().contains("kaboom"), "got: {err}");
     }
@@ -1759,8 +1544,10 @@ mod tests {
         let cm = CostModel::new();
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
         for parallelism in [1, 4] {
-            let err = execute_plan(&w, &plan, &store, parallelism, |_, _, _| Ok(()))
-                .expect_err("panic must become an error at any thread count");
+            let err = execute_plan(&w, &plan, &store, &with_threads(parallelism), |_, _, _| {
+                Ok(())
+            })
+            .expect_err("panic must become an error at any thread count");
             assert!(
                 err.to_string().contains("solo kaboom"),
                 "parallelism {parallelism}: {err}"
@@ -1791,7 +1578,7 @@ mod tests {
         let store = tmp_store("cap");
         let cm = CostModel::new();
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
-        execute_plan(&w, &plan, &store, 2, |_, _, _| Ok(())).unwrap();
+        execute_plan(&w, &plan, &store, &with_threads(2), |_, _, _| Ok(())).unwrap();
         let peak = PEAK.load(Ordering::SeqCst);
         assert!(peak <= 2, "parallelism 2 must cap live workers, saw {peak}");
         assert!(peak >= 2, "8 ready nodes should actually use both workers");
@@ -1835,10 +1622,7 @@ mod tests {
         let cm = CostModel::new();
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
         let started = Instant::now();
-        execute_plan_with(&w, &plan, &store, ExecStrategy::ReadyQueue, 2, |_, _, _| {
-            Ok(())
-        })
-        .unwrap();
+        execute_plan(&w, &plan, &store, &with_threads(2), |_, _, _| Ok(())).unwrap();
         let elapsed = started.elapsed();
         // Barrier executor needs ≥ slow + 2 * step (chain stalls behind
         // the slow wave member twice); the ready queue overlaps the chain
@@ -1868,9 +1652,13 @@ mod tests {
             .unwrap();
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
         assert_eq!(plan.states[1], NodeState::Load);
-        let waves = build_waves(&w, &plan.order, &plan.states);
-        assert_eq!(waves[0], vec![NodeId(1)]);
-        let result = execute_plan(&w, &plan, &store, 4, |_, _, _| Ok(())).unwrap();
+        let levels = wave_levels(&w, &plan.states);
+        assert_eq!(
+            levels,
+            vec![None, Some(0), Some(1)],
+            "the load sits in wave 0"
+        );
+        let result = execute_plan(&w, &plan, &store, &with_threads(4), |_, _, _| Ok(())).unwrap();
         assert_eq!(result.outputs[1], Some(NodeOutput::Data(int_rows(&[42]))));
         assert_eq!(result.waves.len(), 2, "derived wave depth");
     }
@@ -1885,7 +1673,9 @@ mod tests {
         let store = tmp_store("mergepanic");
         let cm = CostModel::new();
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
-        let _ = execute_plan(&w, &plan, &store, 4, |_, _, _| panic!("merge kaboom"));
+        let _ = execute_plan(&w, &plan, &store, &with_threads(4), |_, _, _| {
+            panic!("merge kaboom")
+        });
     }
 
     #[test]
@@ -1894,7 +1684,7 @@ mod tests {
         let store = tmp_store("mergefail");
         let cm = CostModel::new();
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
-        let err = execute_plan(&w, &plan, &store, 4, |_, _, _| {
+        let err = execute_plan(&w, &plan, &store, &with_threads(4), |_, _, _| {
             Err(HelixError::Exec("merge refused".into()))
         })
         .expect_err("merge error must propagate");
@@ -1931,10 +1721,10 @@ mod tests {
         let cm = CostModel::new();
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
         let t1 = Instant::now();
-        execute_plan(&w, &plan, &store, 1, |_, _, _| Ok(())).unwrap();
+        execute_plan(&w, &plan, &store, &with_threads(1), |_, _, _| Ok(())).unwrap();
         let sequential = t1.elapsed();
         let t2 = Instant::now();
-        execute_plan(&w, &plan, &store, 6, |_, _, _| Ok(())).unwrap();
+        execute_plan(&w, &plan, &store, &with_threads(6), |_, _, _| Ok(())).unwrap();
         let parallel = t2.elapsed();
         assert!(
             parallel < sequential,
@@ -2005,7 +1795,7 @@ mod tests {
             "chain head pops first (deepest downstream tail), singletons follow in plan order"
         );
 
-        execute_plan(&w, &plan, &store, 2, |_, _, _| Ok(())).unwrap();
+        execute_plan(&w, &plan, &store, &with_threads(2), |_, _, _| Ok(())).unwrap();
         let log = started.lock().unwrap();
         assert_eq!(log.len(), 6, "every node executed");
     }
@@ -2036,7 +1826,7 @@ mod tests {
         let cm = CostModel::new();
         let plan = compile(w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
         let mut merged = Vec::new();
-        let result = execute_plan_opts(w, &plan, &store, opts, |id, _, _| {
+        let result = execute_plan(w, &plan, &store, opts, |id, _, _| {
             merged.push(id);
             Ok(())
         })
@@ -2108,7 +1898,7 @@ mod tests {
                 partition_rows,
                 ..ExecOpts::default()
             };
-            let err = execute_plan_opts(&w, &plan, &store, &opts, |_, _, _| Ok(()))
+            let err = execute_plan(&w, &plan, &store, &opts, |_, _, _| Ok(()))
                 .expect_err("picky must fail");
             messages.push(err.to_string());
         }
@@ -2143,7 +1933,7 @@ mod tests {
             partition_rows: 8,
             ..ExecOpts::default()
         };
-        let err = execute_plan_opts(&w, &plan, &store, &opts, |_, _, _| Ok(()))
+        let err = execute_plan(&w, &plan, &store, &opts, |_, _, _| Ok(()))
             .expect_err("panicking slice must surface as an error");
         let msg = err.to_string();
         assert!(
@@ -2194,7 +1984,7 @@ mod tests {
         let store = tmp_store("shared");
         let cm = CostModel::new();
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
-        execute_plan(&w, &plan, &store, 4, |_, _, _| Ok(())).unwrap();
+        execute_plan(&w, &plan, &store, &with_threads(4), |_, _, _| Ok(())).unwrap();
         assert_eq!(counter.load(Ordering::SeqCst), 8);
     }
 }

@@ -66,11 +66,12 @@
 //! ```
 
 use crate::engine::{Engine, Lineage, RunOptions};
-use crate::ops::{LearnerSpec, ModelType, OperatorKind};
+use crate::ops::{LearnerSpec, ModelType, NodeOutput, OperatorKind};
 use crate::report::IterationReport;
+use crate::scheduler::execute_plan;
 use crate::signature::Signature;
 use crate::version::VersionStore;
-use crate::workflow::{NodeRef, Workflow};
+use crate::workflow::{NodeId, NodeRef, Workflow};
 use crate::{HelixError, Result};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -503,12 +504,14 @@ impl Session {
     /// decision boundary, the examples an active-learning oracle should
     /// label next. Resolves the workflow's Apply (predictions) node
     /// through the lineage's previous-iteration signatures and fetches
-    /// its materialized output from the store.
+    /// its output from the store, or recomputes it when the
+    /// materialization policy did not store it (a binding budget, or
+    /// `Never`), so the ranking never depends on that policy.
     ///
     /// # Errors
-    /// [`HelixError::Workflow`] if the session has not iterated yet or
-    /// the workflow has no Apply node; [`HelixError::Store`] if the
-    /// predictions output is not materialized.
+    /// [`HelixError::Workflow`] if the session has not iterated yet, the
+    /// workflow has no Apply node, or the predictions are not stored and
+    /// the workflow or its data changed since the last iteration.
     pub fn uncertain_examples(&self, k: usize) -> Result<Vec<UncertainExample>> {
         let Some(prev) = self.lineage.previous_map() else {
             return Err(HelixError::Workflow(format!(
@@ -516,11 +519,13 @@ impl Session {
                 self.name
             )));
         };
-        let apply = self
+        let (apply_id, apply) = self
             .workflow
             .nodes()
             .iter()
-            .find(|n| matches!(n.kind, OperatorKind::Apply))
+            .enumerate()
+            .find(|(_, n)| matches!(n.kind, OperatorKind::Apply))
+            .map(|(i, n)| (NodeId(i as u32), n))
             .ok_or_else(|| {
                 HelixError::Workflow(format!(
                     "session `{}` has no predictions (Apply) node",
@@ -533,7 +538,11 @@ impl Session {
                 apply.name
             ))
         })?;
-        let output = self.engine.fetch(sig)?;
+        let output = match self.engine.fetch(sig) {
+            Ok(output) => output,
+            Err(HelixError::Store(_)) => self.recompute_output(apply_id, sig)?,
+            Err(other) => return Err(other),
+        };
         let data = output.as_data()?;
         let split_idx = data.column_index(crate::SPLIT_COL)?;
         let label_idx = data.column_index("label")?;
@@ -563,6 +572,31 @@ impl Session {
         });
         ranked.truncate(k);
         Ok(ranked)
+    }
+
+    /// Recomputes node `id`'s output from the last iteration (signature
+    /// `sig`) without recording anything: the plan targets only that
+    /// node (stored ancestors still load) and runs with a no-op merge, so
+    /// there is no report, version record, cost observation or
+    /// materialization.
+    fn recompute_output(&self, id: NodeId, sig: Signature) -> Result<NodeOutput> {
+        let mut target = self.workflow.clone();
+        target.set_outputs(&[id]);
+        let plan = self.engine.compile_in(&target, &self.lineage)?;
+        let name = &target.node(id).name;
+        if plan.signatures[id.index()] != sig {
+            return Err(HelixError::Workflow(format!(
+                "output of `{name}` from session `{}`'s last iteration is not stored \
+                 and the workflow or its data changed since; iterate first",
+                self.name
+            )));
+        }
+        let opts = self.engine.exec_opts();
+        let mut result =
+            execute_plan(&target, &plan, self.engine.store(), &opts, |_, _, _| Ok(()))?;
+        result.outputs[id.index()]
+            .take()
+            .ok_or_else(|| HelixError::Exec(format!("`{name}` produced no output (plan bug)")))
     }
 
     /// Applies an arbitrary structural edit to the live workflow (adding

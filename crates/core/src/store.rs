@@ -146,8 +146,8 @@ impl Durability {
     }
 }
 
-/// Builder for opening an [`IntermediateStore`] — the one constructor
-/// path that replaced the positional `open`/`open_with_shards` family.
+/// Builder for opening an [`IntermediateStore`] — the one way to open a
+/// store.
 ///
 /// ```no_run
 /// use helix_core::{Durability, StoreOptions};
@@ -198,10 +198,116 @@ impl StoreOptions {
         self
     }
 
-    /// Opens (or creates) the store, replaying and verifying the WAL
-    /// when the options are durable.
+    /// Opens (or creates) the store. For durable options this replays
+    /// the WAL, verifies every replayed entry against the files on disk,
+    /// adopts untracked files, truncates torn tail records with a
+    /// warning, and writes a fresh snapshot — it never refuses to start
+    /// over a recoverable directory. Volatile stores scan the directory
+    /// so prior iterations' materializations stay visible.
     pub fn open(self) -> Result<IntermediateStore> {
-        IntermediateStore::open_with(self)
+        let StoreOptions {
+            dir,
+            budget_bytes,
+            shards,
+            durability,
+        } = self;
+        std::fs::create_dir_all(&dir)?;
+        sweep_tmp_files(&dir)?;
+        let shard_count = shards.max(1);
+        let mut recovery = RecoveryInfo::default();
+        let mut map: FxHashMap<u64, u64> = FxHashMap::default();
+        let wal_dir = match durability {
+            Durability::Volatile => None,
+            Durability::Wal { .. } => {
+                let wal_dir = dir.join("wal");
+                std::fs::create_dir_all(&wal_dir)?;
+                sweep_tmp_files(&wal_dir)?;
+                let mut wal_files: Vec<PathBuf> = std::fs::read_dir(&wal_dir)?
+                    .filter_map(|e| e.ok().map(|e| e.path()))
+                    .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("wal"))
+                    .collect();
+                wal_files.sort();
+                for file in &wal_files {
+                    replay_wal_file(file, &mut map, &mut recovery)?;
+                }
+                // Verify every replayed record against the disk: the
+                // files are the ground truth, the log is the index.
+                let replayed: Vec<(u64, u64)> = map.drain().collect();
+                for (sig, logged_bytes) in replayed {
+                    match std::fs::metadata(dir.join(sig_file_name(sig))) {
+                        Ok(md) => {
+                            if md.len() != logged_bytes {
+                                recovery.repaired_sizes += 1;
+                                eprintln!(
+                                    "helix-store: WAL size for {sig:016x} was {logged_bytes}, \
+                                     file is {} bytes; using the file",
+                                    md.len()
+                                );
+                            }
+                            map.insert(sig, md.len());
+                        }
+                        Err(_) => {
+                            recovery.dropped_entries += 1;
+                            eprintln!("helix-store: dropping WAL entry {sig:016x}: file missing");
+                        }
+                    }
+                }
+                Some(wal_dir)
+            }
+        };
+        // Scan the directory: the volatile store's entire index, and the
+        // durable store's adoption pass for files the log missed.
+        for entry in std::fs::read_dir(&dir)? {
+            let entry = entry?;
+            let path = entry.path();
+            if path.extension().and_then(|e| e.to_str()) != Some("hlx") {
+                continue;
+            }
+            let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
+                continue;
+            };
+            let Ok(sig) = u64::from_str_radix(stem, 16) else {
+                continue;
+            };
+            if map.contains_key(&sig) {
+                continue;
+            }
+            map.insert(sig, entry.metadata()?.len());
+            if wal_dir.is_some() {
+                recovery.adopted_files += 1;
+            }
+        }
+        if wal_dir.is_some() {
+            recovery.recovered_entries = map.len();
+        }
+        let mut shard_maps: Vec<Shard> = (0..shard_count).map(|_| Shard::default()).collect();
+        let mut used = 0u64;
+        for (sig, bytes) in map {
+            shard_maps[shard_index(sig, shard_count)]
+                .entries
+                .insert(sig, EntryMeta { bytes });
+            used += bytes;
+        }
+        let store = IntermediateStore {
+            inner: Arc::new(StoreInner {
+                dir,
+                budget_bytes,
+                used_bytes: AtomicU64::new(used),
+                shards: shard_maps.into_iter().map(Mutex::new).collect(),
+                durability,
+                wal_dir,
+                last_snapshot_unix: AtomicU64::new(0),
+                recovery,
+                #[cfg(test)]
+                fail_skip_wal_append: std::sync::atomic::AtomicBool::new(false),
+                #[cfg(test)]
+                fail_skip_clear_compaction: std::sync::atomic::AtomicBool::new(false),
+            }),
+        };
+        // A durable open ends with a fresh snapshot: stale log files from
+        // previous shard layouts are dropped and the WAL starts compact.
+        store.snapshot_now()?;
+        Ok(store)
     }
 }
 
@@ -429,145 +535,6 @@ fn replay_wal_file(
 }
 
 impl IntermediateStore {
-    /// Opens (or creates) a store rooted at `dir` with the default shard
-    /// count ([`default_store_shards`]), scanning existing entries so
-    /// prior iterations' materializations are visible.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `StoreOptions::new(dir).budget_bytes(..).open()`"
-    )]
-    pub fn open(dir: impl Into<PathBuf>, budget_bytes: u64) -> Result<Self> {
-        StoreOptions::new(dir).budget_bytes(budget_bytes).open()
-    }
-
-    /// [`StoreOptions`] with an explicit shard count (clamped to ≥ 1).
-    /// `1` reproduces the historical single-lock store.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `StoreOptions::new(dir).budget_bytes(..).shards(..).open()`"
-    )]
-    pub fn open_with_shards(
-        dir: impl Into<PathBuf>,
-        budget_bytes: u64,
-        shards: usize,
-    ) -> Result<Self> {
-        StoreOptions::new(dir)
-            .budget_bytes(budget_bytes)
-            .shards(shards)
-            .open()
-    }
-
-    /// Opens (or creates) a store from [`StoreOptions`]. For durable
-    /// options this replays the WAL, verifies every replayed entry
-    /// against the files on disk, adopts untracked files, truncates torn
-    /// tail records with a warning, and writes a fresh snapshot — it
-    /// never refuses to start over a recoverable directory.
-    pub fn open_with(options: StoreOptions) -> Result<Self> {
-        let StoreOptions {
-            dir,
-            budget_bytes,
-            shards,
-            durability,
-        } = options;
-        std::fs::create_dir_all(&dir)?;
-        sweep_tmp_files(&dir)?;
-        let shard_count = shards.max(1);
-        let mut recovery = RecoveryInfo::default();
-        let mut map: FxHashMap<u64, u64> = FxHashMap::default();
-        let wal_dir = match durability {
-            Durability::Volatile => None,
-            Durability::Wal { .. } => {
-                let wal_dir = dir.join("wal");
-                std::fs::create_dir_all(&wal_dir)?;
-                sweep_tmp_files(&wal_dir)?;
-                let mut wal_files: Vec<PathBuf> = std::fs::read_dir(&wal_dir)?
-                    .filter_map(|e| e.ok().map(|e| e.path()))
-                    .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("wal"))
-                    .collect();
-                wal_files.sort();
-                for file in &wal_files {
-                    replay_wal_file(file, &mut map, &mut recovery)?;
-                }
-                // Verify every replayed record against the disk: the
-                // files are the ground truth, the log is the index.
-                let replayed: Vec<(u64, u64)> = map.drain().collect();
-                for (sig, logged_bytes) in replayed {
-                    match std::fs::metadata(dir.join(sig_file_name(sig))) {
-                        Ok(md) => {
-                            if md.len() != logged_bytes {
-                                recovery.repaired_sizes += 1;
-                                eprintln!(
-                                    "helix-store: WAL size for {sig:016x} was {logged_bytes}, \
-                                     file is {} bytes; using the file",
-                                    md.len()
-                                );
-                            }
-                            map.insert(sig, md.len());
-                        }
-                        Err(_) => {
-                            recovery.dropped_entries += 1;
-                            eprintln!("helix-store: dropping WAL entry {sig:016x}: file missing");
-                        }
-                    }
-                }
-                Some(wal_dir)
-            }
-        };
-        // Scan the directory: the volatile store's entire index, and the
-        // durable store's adoption pass for files the log missed.
-        for entry in std::fs::read_dir(&dir)? {
-            let entry = entry?;
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("hlx") {
-                continue;
-            }
-            let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
-                continue;
-            };
-            let Ok(sig) = u64::from_str_radix(stem, 16) else {
-                continue;
-            };
-            if map.contains_key(&sig) {
-                continue;
-            }
-            map.insert(sig, entry.metadata()?.len());
-            if wal_dir.is_some() {
-                recovery.adopted_files += 1;
-            }
-        }
-        if wal_dir.is_some() {
-            recovery.recovered_entries = map.len();
-        }
-        let mut shard_maps: Vec<Shard> = (0..shard_count).map(|_| Shard::default()).collect();
-        let mut used = 0u64;
-        for (sig, bytes) in map {
-            shard_maps[shard_index(sig, shard_count)]
-                .entries
-                .insert(sig, EntryMeta { bytes });
-            used += bytes;
-        }
-        let store = IntermediateStore {
-            inner: Arc::new(StoreInner {
-                dir,
-                budget_bytes,
-                used_bytes: AtomicU64::new(used),
-                shards: shard_maps.into_iter().map(Mutex::new).collect(),
-                durability,
-                wal_dir,
-                last_snapshot_unix: AtomicU64::new(0),
-                recovery,
-                #[cfg(test)]
-                fail_skip_wal_append: std::sync::atomic::AtomicBool::new(false),
-                #[cfg(test)]
-                fail_skip_clear_compaction: std::sync::atomic::AtomicBool::new(false),
-            }),
-        };
-        // A durable open ends with a fresh snapshot: stale log files from
-        // previous shard layouts are dropped and the WAL starts compact.
-        store.snapshot_now()?;
-        Ok(store)
-    }
-
     /// The storage budget in bytes.
     pub fn budget_bytes(&self) -> u64 {
         self.inner.budget_bytes
@@ -1019,20 +986,6 @@ mod tests {
         let (back, read, _) = store.get(Signature(7)).unwrap();
         assert_eq!(read, written);
         assert_eq!(back, out);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_open_shims_still_work() {
-        let dir = tmpdir("shim");
-        {
-            let store = IntermediateStore::open(&dir, 1 << 20).unwrap();
-            store.put(Signature(4), &sample_output(10)).unwrap();
-        }
-        let store = IntermediateStore::open_with_shards(&dir, 1 << 20, 3).unwrap();
-        assert_eq!(store.shard_count(), 3);
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.durability(), Durability::Volatile);
     }
 
     #[test]

@@ -156,6 +156,12 @@ impl Workflow {
         }
     }
 
+    /// Replaces the output set, so a compiled plan keeps only what
+    /// `outputs` need.
+    pub(crate) fn set_outputs(&mut self, outputs: &[NodeId]) {
+        self.outputs = outputs.to_vec();
+    }
+
     // -- DSL sugar (paper Fig. 1a vocabulary) --------------------------------
 
     /// `data refers_to new FileSource(train, test)`.

@@ -8,13 +8,15 @@
 //!   intermediate results to disk,
 //! * a small [CSV](csv) reader/writer for structured sources,
 //! * a [`text`] source for document corpora,
-//! * [parallel row transforms](par) built on `crossbeam` scoped threads,
 //! * an [FxHash-style hasher](fx) shared by the workspace for hot,
 //!   non-adversarial hashing (see the Rust Performance Book's hashing
 //!   chapter).
 //!
 //! Everything the Helix optimizers need from the substrate — per-operator
 //! output sizes and real compute/IO durations — falls out of these types.
+//! The substrate itself is single-threaded: parallel execution, across
+//! operators and across row partitions of one operator, lives in
+//! `helix-core`'s scheduler.
 
 #![warn(missing_docs)]
 
@@ -23,7 +25,6 @@ pub mod collection;
 pub mod csv;
 pub mod error;
 pub mod fx;
-pub mod par;
 pub mod schema;
 pub mod text;
 pub mod value;

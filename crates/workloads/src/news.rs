@@ -463,8 +463,8 @@ fn gazetteer_set() -> Arc<Vec<&'static str>> {
 
 /// Builds the news document-classification workflow: one corpus scan
 /// fanning out into independent per-document feature extractors — the
-/// widest of the three demo DAGs, and the one that gains most from wave
-/// scheduling.
+/// widest of the three demo DAGs, and the one that gains most from
+/// parallel scheduling.
 pub fn news_workflow(params: &NewsParams) -> Result<Workflow> {
     let mut w = Workflow::new("NewsDensity");
     let corpus = w.text_source("corpus", &params.corpus_path, params.test_fraction)?;

@@ -294,7 +294,7 @@ fn evaluation_uses_test_split() {
 /// Under `All`, every decision is timing-independent, so the harness
 /// asserts **strict** equality of loaded/computed/pruned counts, the full
 /// per-node materialization set, and metrics — pinning down exactly what
-/// the wave scheduler changed (execution) with nothing else varying.
+/// the parallel scheduler changed (execution) with nothing else varying.
 /// Under the Helix online policy, per-node materialization of
 /// microsecond-scale nodes is decided by measured wall times (two
 /// sequential runs flip those too), so the harness asserts the semantic

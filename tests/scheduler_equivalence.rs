@@ -20,8 +20,8 @@
 use helix::core::compiler::compile;
 use helix::core::cost::CostModel;
 use helix::core::ops::{OperatorKind, Udf};
-use helix::core::recompute::build_waves;
-use helix::core::scheduler::{default_parallelism, execute_plan, execute_plan_opts, ExecOpts};
+use helix::core::recompute::wave_levels;
+use helix::core::scheduler::{default_parallelism, execute_plan, ExecOpts};
 use helix::core::signature::Signature;
 use helix::core::store::StoreOptions;
 use helix::core::{
@@ -34,6 +34,14 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
+
+/// Default options at an explicit thread count.
+fn with_threads(parallelism: usize) -> ExecOpts {
+    ExecOpts {
+        parallelism,
+        ..ExecOpts::default()
+    }
+}
 
 fn tmpdir(tag: &str) -> PathBuf {
     let case = CASE.fetch_add(1, Ordering::SeqCst);
@@ -236,13 +244,13 @@ proptest! {
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
 
         let mut merged_seq: Vec<NodeId> = Vec::new();
-        let seq = execute_plan(&w, &plan, &store, 1, |id, _, _| {
+        let seq = execute_plan(&w, &plan, &store, &with_threads(1), |id, _, _| {
             merged_seq.push(id);
             Ok(())
         }).unwrap();
         for threads in [2, 8] {
             let mut merged_par: Vec<NodeId> = Vec::new();
-            let par = execute_plan(&w, &plan, &store, threads, |id, _, _| {
+            let par = execute_plan(&w, &plan, &store, &with_threads(threads), |id, _, _| {
                 merged_par.push(id);
                 Ok(())
             }).unwrap();
@@ -268,7 +276,7 @@ proptest! {
         // First pass computes everything so we have real outputs to
         // materialize.
         let plan0 = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
-        let first = execute_plan(&w, &plan0, &store, 1, |_, _, _| Ok(())).unwrap();
+        let first = execute_plan(&w, &plan0, &store, &with_threads(1), |_, _, _| Ok(())).unwrap();
         for (i, node) in w.nodes().iter().enumerate() {
             cm.observe_compute(&node.name, 1.0);
             if mask[i % mask.len()] {
@@ -278,8 +286,8 @@ proptest! {
         }
 
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
-        let seq = execute_plan(&w, &plan, &store, 1, |_, _, _| Ok(())).unwrap();
-        let par = execute_plan(&w, &plan, &store, 8, |_, _, _| Ok(())).unwrap();
+        let seq = execute_plan(&w, &plan, &store, &with_threads(1), |_, _, _| Ok(())).unwrap();
+        let par = execute_plan(&w, &plan, &store, &with_threads(8), |_, _, _| Ok(())).unwrap();
         prop_assert_eq!(&seq.outputs, &par.outputs);
         // Loaded results equal their original computation (reuse
         // correctness through the store round-trip).
@@ -288,9 +296,9 @@ proptest! {
                 prop_assert_eq!(Some(output), first.outputs[i].as_ref(), "node {}", i);
             }
         }
-        // Wave structure stays a partition of the non-pruned plan.
-        let waves = build_waves(&w, &plan.order, &plan.states);
-        let total: usize = waves.iter().map(Vec::len).sum();
+        // Wave levels stay a partition of the non-pruned plan.
+        let levels = wave_levels(&w, &plan.states);
+        let total = levels.iter().flatten().count();
         prop_assert_eq!(total, plan.compute_count() + plan.load_count());
     }
 
@@ -305,13 +313,13 @@ proptest! {
         let cm = CostModel::new();
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
         let mut merged_seq: Vec<NodeId> = Vec::new();
-        let seq = execute_plan(&w, &plan, &store, 1, |id, _, _| {
+        let seq = execute_plan(&w, &plan, &store, &with_threads(1), |id, _, _| {
             merged_seq.push(id);
             Ok(())
         }).unwrap();
         for threads in [2, 8] {
             let mut merged_par: Vec<NodeId> = Vec::new();
-            let par = execute_plan(&w, &plan, &store, threads, |id, _, _| {
+            let par = execute_plan(&w, &plan, &store, &with_threads(threads), |id, _, _| {
                 merged_par.push(id);
                 Ok(())
             }).unwrap();
@@ -421,7 +429,7 @@ proptest! {
 
         let base = ExecOpts { parallelism: 1, partition_rows: usize::MAX, ..ExecOpts::default() };
         let mut merged_seq: Vec<NodeId> = Vec::new();
-        let seq = execute_plan_opts(&w, &plan, &store, &base, |id, _, _| {
+        let seq = execute_plan(&w, &plan, &store, &base, |id, _, _| {
             merged_seq.push(id);
             Ok(())
         }).unwrap();
@@ -432,7 +440,7 @@ proptest! {
             for parallelism in [1, 2, default_parallelism()] {
                 let opts = ExecOpts { parallelism, partition_rows, ..ExecOpts::default() };
                 let mut merged: Vec<NodeId> = Vec::new();
-                let par = execute_plan_opts(&w, &plan, &store, &opts, |id, _, _| {
+                let par = execute_plan(&w, &plan, &store, &opts, |id, _, _| {
                     merged.push(id);
                     Ok(())
                 }).unwrap();

@@ -7,9 +7,12 @@
 use helix::core::ops::{EvalSpec, MetricKind, OperatorKind};
 use helix::core::session::{LearnerParam, SessionHandle, SessionManager};
 use helix::core::{
-    Engine, EngineConfig, IterationReport, MaterializationPolicyKind, RecomputationPolicy,
+    Engine, EngineConfig, HelixError, IterationReport, MaterializationPolicyKind,
+    RecomputationPolicy,
 };
-use helix::workloads::census::{census_workflow, generate_census, CensusDataSpec, CensusParams};
+use helix::workloads::census::{
+    census_workflow, generate_census, labeled_rows, CensusDataSpec, CensusParams,
+};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -246,4 +249,74 @@ fn concurrent_sessions_never_overshoot_store_budget() {
         "sessions jointly overshot the budget: {used} > {budget}"
     );
     assert_eq!(engine.versions().len(), 6);
+}
+
+/// The uncertainty ranking must not depend on the materialization
+/// policy: a `Never` engine stores no predictions, so the ranking
+/// recomputes them, and must match what the default (`HelixOnline`) and
+/// materialize-`All` engines rank — `All` guarantees a store read. The
+/// recompute records nothing: no iteration, no version, no store entry.
+#[test]
+fn uncertain_examples_do_not_depend_on_materialization_policy() {
+    let dir = tmpdir("uncertain-policy");
+    generate_census(
+        &dir,
+        &CensusDataSpec {
+            train_rows: 400,
+            test_rows: 120,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    let workflow = census_workflow(&CensusParams::initial(&dir)).unwrap();
+    let mut rankings = Vec::new();
+    let mut never_session = None;
+    for (tag, policy) in [
+        ("never", MaterializationPolicyKind::Never),
+        ("default", MaterializationPolicyKind::HelixOnline),
+        ("all", MaterializationPolicyKind::All),
+    ] {
+        let mut config = EngineConfig::helix(dir.join(format!("store-{tag}")));
+        config.materialization = policy;
+        let engine = Arc::new(Engine::new(config).unwrap());
+        let manager = SessionManager::new(Arc::clone(&engine));
+        let session = manager.create("oracle", workflow.clone()).unwrap();
+        let report = session.iterate().unwrap();
+        let predictions_stored = report
+            .nodes
+            .iter()
+            .any(|n| n.name == "predictions" && n.materialized);
+        match policy {
+            MaterializationPolicyKind::Never => assert!(!predictions_stored),
+            MaterializationPolicyKind::All => assert!(predictions_stored),
+            MaterializationPolicyKind::HelixOnline => {}
+        }
+        let stored_entries = engine.store().len();
+        let ranked = session.uncertain_examples(20).unwrap();
+        assert_eq!(ranked.len(), 20, "{tag}");
+        assert_eq!(session.iteration(), 1, "{tag}: ranking ran no iteration");
+        assert_eq!(
+            engine.versions().len(),
+            1,
+            "{tag}: ranking recorded no version"
+        );
+        assert_eq!(
+            engine.store().len(),
+            stored_entries,
+            "{tag}: ranking materialized nothing"
+        );
+        if policy == MaterializationPolicyKind::Never {
+            never_session = Some(session);
+        }
+        rankings.push(ranked);
+    }
+    assert_eq!(rankings[0], rankings[1], "never vs default");
+    assert_eq!(rankings[0], rankings[2], "never vs all");
+
+    // Once the data moved on, the last iteration's predictions can be
+    // neither read nor recomputed: a client error, not a store failure.
+    let session = never_session.expect("never session kept");
+    session.append_data("data", &labeled_rows(8, 5)).unwrap();
+    let err = session.uncertain_examples(20).unwrap_err();
+    assert!(matches!(err, HelixError::Workflow(_)), "{err}");
 }
