@@ -306,7 +306,7 @@ mod tests {
 
     const SAMPLE: &str = r#"{"benchmarks": [
   {"id": "scheduler_executor/news/ready", "min_ns": 100, "median_ns": 120, "mean_ns": 130, "samples": 5},
-  {"id": "scheduler_executor/news/wave", "min_ns": 150, "median_ns": 170, "mean_ns": 180, "samples": 5}
+  {"id": "scheduler_executor/news/seq", "min_ns": 150, "median_ns": 170, "mean_ns": 180, "samples": 5}
 ]}
 "#;
 
@@ -315,7 +315,7 @@ mod tests {
         let map = parse_results(SAMPLE).unwrap();
         assert_eq!(map.len(), 2);
         assert_eq!(map["scheduler_executor/news/ready"], 100);
-        assert_eq!(map["scheduler_executor/news/wave"], 150);
+        assert_eq!(map["scheduler_executor/news/seq"], 150);
     }
 
     #[test]
@@ -339,7 +339,7 @@ mod tests {
         let summary =
             write_baseline(current.to_str().unwrap(), baseline.to_str().unwrap()).unwrap();
         assert!(summary.contains("80 ns -> 100 ns (1.25x)"), "{summary}");
-        assert!(summary.contains("scheduler_executor/news/wave: 150 ns (new)"));
+        assert!(summary.contains("scheduler_executor/news/seq: 150 ns (new)"));
         assert!(summary.contains("gone/bench: dropped"));
         // The baseline now *is* the capture, byte for byte, and reparses.
         assert_eq!(std::fs::read_to_string(&baseline).unwrap(), SAMPLE);

@@ -2,20 +2,18 @@
 //!
 //! The engine used to read `std::env::var` at scattered call sites; this
 //! module is now the only place core consults the environment, and
-//! [`crate::EngineConfig::from_env`] is the documented entry point that
-//! folds every knob into a config at once. The knob table lives in
-//! docs/API.md § "Environment variables".
+//! [`crate::EngineConfig::helix`] folds every engine knob into a config
+//! at once. The knob table lives in docs/API.md § "Environment
+//! variables".
 //!
-//! | Variable                   | Meaning                                   |
-//! |----------------------------|-------------------------------------------|
-//! | `HELIX_PARALLELISM`        | Worker threads (≥ 1); default = cores     |
-//! | `HELIX_STORE_SHARDS`       | Store shard count (≥ 1); default = 16     |
-//! | `HELIX_PARTITION_ROWS`     | Rows per operator partition (≥ 1)         |
-//! | `HELIX_DURABILITY`         | `volatile` \| `wal` \| `wal-nosync`       |
-//! | `HELIX_WAL_SNAPSHOT_BYTES` | Per-shard WAL compaction threshold (≥ 1)  |
-//! | `HELIX_REPLAN_FACTOR`      | Adaptive re-plan divergence factor (≥ 1)  |
-//! | `HELIX_DATA_CHUNK_ROWS`    | Rows per data chunk (≥ 1); default = 512  |
-//! | `HELIX_MEMO_DECAY_RUNS`    | Runs before memo observations decay (≥ 1) |
+//! | Variable                | Meaning                                   |
+//! |-------------------------|-------------------------------------------|
+//! | `HELIX_PARALLELISM`     | Worker threads (≥ 1); default = cores     |
+//! | `HELIX_STORE_SHARDS`    | Store shard count (≥ 1); default = 16     |
+//! | `HELIX_PARTITION_ROWS`  | Rows per operator partition (≥ 1)         |
+//! | `HELIX_DURABILITY`      | `volatile` \| `wal` \| `wal-nosync`       |
+//! | `HELIX_REPLAN_FACTOR`   | Adaptive re-plan divergence factor (≥ 1)  |
+//! | `HELIX_DATA_CHUNK_ROWS` | Rows per data chunk (≥ 1); default = 512  |
 
 use crate::store::{Durability, DEFAULT_STORE_SHARDS};
 
@@ -52,12 +50,9 @@ pub fn partition_rows() -> usize {
 
 /// `HELIX_DURABILITY` (`volatile` | `wal` | `wal-nosync`), defaulting to
 /// [`Durability::Volatile`]. An unrecognized value warns and falls back
-/// to volatile rather than refusing to start. When the tier is a WAL,
-/// `HELIX_WAL_SNAPSHOT_BYTES` overrides the per-shard compaction
-/// threshold (background snapshot on size, not just at open and on
-/// `POST /admin/snapshot`).
+/// to volatile rather than refusing to start.
 pub fn durability() -> Durability {
-    let tier = match std::env::var("HELIX_DURABILITY") {
+    match std::env::var("HELIX_DURABILITY") {
         Ok(value) => Durability::from_env_value(&value).unwrap_or_else(|| {
             eprintln!(
                 "helix: unrecognized HELIX_DURABILITY value `{value}` \
@@ -66,21 +61,7 @@ pub fn durability() -> Durability {
             Durability::Volatile
         }),
         Err(_) => Durability::Volatile,
-    };
-    match wal_snapshot_bytes() {
-        Some(bytes) => tier.with_compact_after_bytes(bytes),
-        None => tier,
     }
-}
-
-/// `HELIX_WAL_SNAPSHOT_BYTES`: per-shard WAL compaction threshold in
-/// bytes; `None` when unset, unparseable, or zero (keeping
-/// [`Durability::DEFAULT_COMPACT_AFTER_BYTES`]).
-pub fn wal_snapshot_bytes() -> Option<u64> {
-    std::env::var("HELIX_WAL_SNAPSHOT_BYTES")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|&n| n >= 1)
 }
 
 /// `HELIX_REPLAN_FACTOR`: the adaptive re-plan divergence factor,
@@ -111,22 +92,6 @@ pub fn data_chunk_rows() -> usize {
     positive("HELIX_DATA_CHUNK_ROWS").unwrap_or(crate::data::DEFAULT_DATA_CHUNK_ROWS)
 }
 
-/// `HELIX_MEMO_DECAY_RUNS`: memo observations older than this many
-/// logical runs are down-weighted when aggregating compute history (see
-/// [`crate::memo::MemoTable::observed_compute_secs`]), defaulting to
-/// [`DEFAULT_MEMO_DECAY_RUNS`].
-pub fn memo_decay_runs() -> u64 {
-    positive("HELIX_MEMO_DECAY_RUNS")
-        .map(|n| n as u64)
-        .unwrap_or(DEFAULT_MEMO_DECAY_RUNS)
-}
-
-/// Fallback for [`memo_decay_runs`] when `HELIX_MEMO_DECAY_RUNS` is
-/// unset: long enough that a typical iteration session never decays,
-/// short enough that stale timings from a long-gone machine state stop
-/// dominating plans within one working day of runs.
-pub const DEFAULT_MEMO_DECAY_RUNS: u64 = 32;
-
 /// Fallback for [`replan_factor`] when `HELIX_REPLAN_FACTOR` is unset:
 /// re-plan only on a 4× divergence between observed and estimated cost —
 /// large enough that ordinary timing noise never churns plans, small
@@ -150,27 +115,5 @@ mod tests {
             Some(Durability::wal_nosync())
         );
         assert_eq!(Durability::from_env_value("bogus"), None);
-    }
-
-    #[test]
-    fn compact_threshold_override_applies_only_to_wal() {
-        assert_eq!(
-            Durability::wal().with_compact_after_bytes(4096),
-            Durability::Wal {
-                fsync: true,
-                compact_after_bytes: 4096
-            }
-        );
-        assert_eq!(
-            Durability::wal_nosync().with_compact_after_bytes(0),
-            Durability::Wal {
-                fsync: false,
-                compact_after_bytes: 1
-            }
-        );
-        assert_eq!(
-            Durability::Volatile.with_compact_after_bytes(4096),
-            Durability::Volatile
-        );
     }
 }

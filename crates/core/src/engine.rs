@@ -97,33 +97,12 @@ impl EngineConfig {
             recomputation: RecomputationPolicy::Optimal,
             materialization: MaterializationPolicyKind::HelixOnline,
             enable_slicing: true,
-            parallelism: scheduler::default_parallelism(),
-            store_shards: crate::store::default_store_shards(),
-            partition_rows: scheduler::default_partition_rows(),
+            parallelism: crate::config_env::parallelism(),
+            store_shards: crate::config_env::store_shards(),
+            partition_rows: crate::config_env::partition_rows(),
             durability: crate::config_env::durability(),
             replan_factor: crate::config_env::replan_factor(),
         }
-    }
-
-    /// The documented environment entry point: a full Helix configuration
-    /// rooted at `store_dir` with every runtime knob drawn from the
-    /// environment via [`crate::config_env`]. The knobs (one table in
-    /// `docs/API.md`):
-    ///
-    /// | Variable | Field |
-    /// |---|---|
-    /// | `HELIX_PARALLELISM` | [`EngineConfig::parallelism`] |
-    /// | `HELIX_STORE_SHARDS` | [`EngineConfig::store_shards`] |
-    /// | `HELIX_PARTITION_ROWS` | [`EngineConfig::partition_rows`] |
-    /// | `HELIX_DURABILITY` | [`EngineConfig::durability`] |
-    /// | `HELIX_REPLAN_FACTOR` | [`EngineConfig::replan_factor`] |
-    /// | `HELIX_WAL_SNAPSHOT_BYTES` | [`EngineConfig::durability`] (WAL compaction threshold) |
-    ///
-    /// [`EngineConfig::helix`] reads the same knobs; `from_env` is the
-    /// spelled-out alias that makes the env dependency explicit at the
-    /// call site.
-    pub fn from_env(store_dir: impl Into<PathBuf>) -> Self {
-        Self::helix(store_dir)
     }
 
     /// Sets the storage budget.
@@ -583,7 +562,6 @@ impl Engine {
         let plan = plan;
         let optimizer_secs = opt_started.elapsed().as_secs_f64();
 
-        let wave_of = crate::recompute::wave_levels(workflow, &plan.states);
         let node_reports: Vec<NodeReport> = workflow
             .nodes()
             .iter()
@@ -597,7 +575,6 @@ impl Engine {
                     .as_ref()
                     .map(|c| c.kinds[i])
                     .unwrap_or(ChangeKind::Added),
-                wave: wave_of[i],
                 duration_secs: 0.0,
                 output_bytes: 0,
                 materialized: false,
@@ -808,13 +785,13 @@ impl Engine {
             let mut memo = lock(&self.memo);
             // One logical run per iteration: observations recorded below
             // carry this run's stamp, which is what lets old timings decay
-            // (`HELIX_MEMO_DECAY_RUNS`).
+            // (`crate::memo::DEFAULT_MEMO_DECAY_RUNS`).
             memo.begin_run();
             for (sig, name, parents, observation) in ctx.memo_events.drain(..) {
                 memo.record(sig, &name, &parents, observation);
             }
         }
-        let result = result?;
+        result?;
 
         let change_summary = options.summary.unwrap_or_else(|| {
             plan.change
@@ -831,7 +808,6 @@ impl Engine {
             optimizer_secs,
             materialize_secs: ctx.materialize_secs,
             nodes: ctx.node_reports,
-            waves: result.waves,
             metrics: ctx.metrics,
             snapshot: std::sync::Arc::new(crate::version::DagSnapshot::capture(workflow)),
         };
@@ -1153,8 +1129,6 @@ mod tests {
                 .map(|n| n.name.as_str())
                 .collect();
             assert_eq!(mat_a, mat_b, "materialization set must match, reg={reg}");
-            assert_eq!(a.wave_count(), b.wave_count(), "reg={reg}");
-            assert!(a.wave_count() > 1, "census plan has dependency depth");
         }
     }
 

@@ -64,11 +64,11 @@ pub use ops::{
 pub use pool::WorkerPool;
 pub use recompute::{NodeState, RecomputationPolicy};
 pub use report::IterationReport;
-pub use scheduler::{default_parallelism, default_partition_rows, ExecOpts};
+pub use scheduler::ExecOpts;
 pub use session::{
     LearnerParam, Session, SessionHandle, SessionManager, UncertainExample, WorkflowEdit,
 };
-pub use store::{default_store_shards, Durability, IntermediateStore, RecoveryInfo, StoreOptions};
+pub use store::{Durability, IntermediateStore, RecoveryInfo, StoreOptions};
 pub use workflow::{NodeId, NodeRef, Workflow};
 
 /// Convenience alias used throughout the crate.

@@ -19,10 +19,8 @@
 //! prohibitively bad while `a_i + b_i` still nets exactly `−c_i`. Outputs'
 //! `a` projects are mandatory. One min-cut solves the whole instance.
 //!
-//! Two plan-shape helpers serve execution and reporting:
-//! [`critical_path_priority_us`] ranks ready nodes for the scheduler, and
-//! [`wave_levels`] assigns each node the dependency level its report
-//! timings are grouped under.
+//! One plan-shape helper serves execution: [`critical_path_priority_us`]
+//! ranks ready nodes for the scheduler.
 
 use crate::workflow::{NodeId, Workflow};
 use crate::Result;
@@ -219,44 +217,6 @@ fn plan_load_all(workflow: &Workflow, active: &[bool], costs: &[NodeCosts]) -> V
         }
     }
     states
-}
-
-/// Dependency level ("wave") per node: `None` for pruned nodes, `Some(0)`
-/// for loads and for computes with no unpruned parents, and
-/// `1 + max(parent level)` for other computes. Loads sit in wave 0
-/// because the store satisfies them without upstream results. The
-/// executor does not run level by level (see `crate::scheduler`); levels
-/// only group the per-node timings into the derived per-wave summaries of
-/// iteration reports ([`crate::report::NodeReport::wave`]).
-pub fn wave_levels(workflow: &Workflow, states: &[NodeState]) -> Vec<Option<usize>> {
-    let n = workflow.len();
-    assert_eq!(states.len(), n, "states length mismatch");
-    let mut levels: Vec<Option<usize>> = vec![None; n];
-    // `rewire` can point an early node at a later one, so walk in
-    // topological order rather than id order. A cyclic workflow cannot
-    // reach execution (compilation rejects it), so fall back to id order.
-    let order = workflow
-        .topo_order()
-        .unwrap_or_else(|_| (0..n as u32).map(NodeId).collect());
-    for id in order {
-        let i = id.index();
-        match states[i] {
-            NodeState::Prune => {}
-            NodeState::Load => levels[i] = Some(0),
-            NodeState::Compute => {
-                let level = workflow
-                    .node(id)
-                    .parents
-                    .iter()
-                    .filter_map(|p| levels[p.index()])
-                    .map(|l| l + 1)
-                    .max()
-                    .unwrap_or(0);
-                levels[i] = Some(level);
-            }
-        }
-    }
-    levels
 }
 
 /// Per-node downstream critical-path estimate in µs: the node's own cost
@@ -611,36 +571,7 @@ mod tests {
     }
 
     #[test]
-    fn wave_levels_partition_diamond() {
-        // 0 -> {1, 2} -> 3: waves are {0}, {1, 2}, {3}.
-        let w = dag_workflow(4, &[(0, 1), (0, 2), (1, 3), (2, 3)], &[3]);
-        let states = vec![NodeState::Compute; 4];
-        let levels = wave_levels(&w, &states);
-        assert_eq!(levels, vec![Some(0), Some(1), Some(1), Some(2)]);
-    }
-
-    #[test]
-    fn loads_sit_in_wave_zero_and_prunes_have_none() {
-        let w = dag_workflow(3, &[(0, 1), (1, 2)], &[2]);
-        let states = vec![NodeState::Prune, NodeState::Load, NodeState::Compute];
-        let levels = wave_levels(&w, &states);
-        assert_eq!(levels, vec![None, Some(0), Some(1)]);
-    }
-
-    #[test]
-    fn wave_levels_group_independent_nodes() {
-        // 0 -> {1, 2} -> 3 plus an isolated node 4: level k holds exactly
-        // the nodes whose unpruned parents all sit below it.
-        let w = dag_workflow(5, &[(0, 1), (0, 2), (1, 3), (2, 3)], &[3, 4]);
-        let states = vec![NodeState::Compute; 5];
-        let levels = wave_levels(&w, &states);
-        assert_eq!(levels, vec![Some(0), Some(1), Some(1), Some(2), Some(0)]);
-        let depth = levels.iter().flatten().max().map_or(0, |l| l + 1);
-        assert_eq!(depth, 3);
-    }
-
-    #[test]
-    fn wave_cost_is_critical_path_not_total() {
+    fn critical_path_priority_is_longest_chain_not_total() {
         // The root's downstream estimate is the plan's critical path —
         // the makespan under unbounded parallelism — not the total.
         let w = dag_workflow(4, &[(0, 1), (0, 2), (1, 3), (2, 3)], &[3]);
@@ -703,7 +634,7 @@ mod tests {
     }
 
     #[test]
-    fn wave_cost_never_exceeds_sequential_cost() {
+    fn critical_path_priority_never_exceeds_plan_cost() {
         let w = dag_workflow(5, &[(0, 2), (1, 2), (2, 3), (2, 4)], &[3, 4]);
         let costs = vec![
             NodeCosts {

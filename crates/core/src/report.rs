@@ -17,14 +17,7 @@ pub struct NodeReport {
     pub state: NodeState,
     /// How the node differed from the previous version.
     pub change: ChangeKind,
-    /// The node's dependency level in the plan (`None` for pruned
-    /// nodes): 0 for loads and dependency-free computes, one more than
-    /// the deepest parent otherwise. Purely descriptive — the ready-queue
-    /// executor does not run level-by-level.
-    pub wave: Option<usize>,
     /// Wall-clock seconds spent computing or loading (0 for pruned).
-    /// This is the primary timing record; per-wave figures are derived
-    /// from it.
     pub duration_secs: f64,
     /// Output size estimate in bytes (0 for pruned).
     pub output_bytes: u64,
@@ -37,20 +30,6 @@ pub struct NodeReport {
     /// Where the node's planning cost came from: the name-keyed estimate,
     /// or per-signature observed history via the adaptive re-plan.
     pub decision_source: crate::memo::DecisionSource,
-}
-
-/// Derived timing for one dependency level ("wave") of the plan — a set
-/// of mutually independent nodes. The executor is barrier-free (see
-/// `crate::scheduler`), so these are summaries computed from per-node
-/// durations, not measured wall-clock phases.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WaveReport {
-    /// Nodes executed at this dependency level.
-    pub nodes: usize,
-    /// At `parallelism = 1`, the sum of member durations; at higher
-    /// thread counts, the slowest member's duration (the level's
-    /// contribution to an idealized critical path).
-    pub secs: f64,
 }
 
 /// The result of executing one workflow iteration.
@@ -74,11 +53,8 @@ pub struct IterationReport {
     /// Seconds spent writing materializations.
     pub materialize_secs: f64,
     /// Per-node details, in [`crate::workflow::NodeId`] index order —
-    /// the primary execution record.
+    /// the execution record.
     pub nodes: Vec<NodeReport>,
-    /// Per-dependency-level timings derived from the node durations, in
-    /// level order.
-    pub waves: Vec<WaveReport>,
     /// Metric values harvested from Evaluate nodes.
     pub metrics: Vec<(String, f64)>,
     /// The DAG as executed, captured once per run. Shared (`Arc`) with
@@ -130,24 +106,10 @@ impl IterationReport {
         self.nodes.iter().map(|n| n.chunks_loaded).sum()
     }
 
-    /// Depth of the plan's dependency-level decomposition (number of
-    /// derived waves).
-    pub fn wave_count(&self) -> usize {
-        self.waves.len()
-    }
-
     /// Total seconds of node execution work (the sum of per-node
     /// durations — CPU-time-like, not wall-clock when parallel).
     pub fn exec_secs(&self) -> f64 {
         self.nodes.iter().map(|n| n.duration_secs).sum()
-    }
-
-    /// Idealized critical-path seconds: the per-level summaries summed
-    /// over levels. With unbounded parallelism an iteration cannot beat
-    /// this; the gap to [`IterationReport::exec_secs`] is the speedup the
-    /// ready-queue executor can extract.
-    pub fn critical_path_secs(&self) -> f64 {
-        self.waves.iter().map(|w| w.secs).sum()
     }
 
     /// Value of a named metric, if an Evaluate node produced it.
@@ -192,7 +154,6 @@ mod tests {
             stage,
             state,
             change: ChangeKind::Unchanged,
-            wave: (state != NodeState::Prune).then_some(0),
             duration_secs: secs,
             output_bytes: 0,
             materialized: false,
@@ -216,20 +177,6 @@ mod tests {
                 node("b", NodeState::Compute, 1.0, Stage::MachineLearning),
                 node("c", NodeState::Prune, 0.0, Stage::DataPreProcessing),
                 node("d", NodeState::Compute, 0.4, Stage::Evaluation),
-            ],
-            waves: vec![
-                WaveReport {
-                    nodes: 1,
-                    secs: 0.1,
-                },
-                WaveReport {
-                    nodes: 1,
-                    secs: 1.0,
-                },
-                WaveReport {
-                    nodes: 1,
-                    secs: 0.4,
-                },
             ],
             metrics: vec![("accuracy".into(), 0.83)],
         }
@@ -279,20 +226,15 @@ mod tests {
             optimizer_secs: 0.0,
             materialize_secs: 0.0,
             nodes: vec![],
-            waves: vec![],
             metrics: vec![],
         };
         assert_eq!(r.reuse_rate(), 0.0);
-        assert_eq!(r.wave_count(), 0);
         assert_eq!(r.exec_secs(), 0.0);
-        assert_eq!(r.critical_path_secs(), 0.0);
     }
 
     #[test]
-    fn wave_aggregation() {
+    fn exec_secs_sums_node_durations() {
         let r = report();
-        assert_eq!(r.wave_count(), 3);
         assert!((r.exec_secs() - 1.5).abs() < 1e-12, "sum of node durations");
-        assert!((r.critical_path_secs() - 1.5).abs() < 1e-12);
     }
 }

@@ -27,9 +27,9 @@
 //! while shallow work fills the remaining slots. Plan order breaks ties,
 //! and merge semantics are untouched — the plan-order merge cursor makes
 //! results independent of execution order by construction. The thread
-//! count is capped at [`crate::EngineConfig::parallelism`]. Dependency
-//! levels ([`crate::recompute::wave_levels`]) survive only as the source
-//! of the *derived* per-wave timings in iteration reports.
+//! count is capped at [`crate::EngineConfig::parallelism`]. The per-node
+//! timings in [`ExecutedNode`] are the only execution record; the engine
+//! copies them into [`crate::report::NodeReport`].
 //!
 //! # Determinism
 //!
@@ -61,8 +61,7 @@
 use crate::compiler::CompiledPlan;
 use crate::ops::NodeOutput;
 use crate::pool::{Job, WorkerPool};
-use crate::recompute::{wave_levels, NodeState};
-use crate::report::WaveReport;
+use crate::recompute::NodeState;
 use crate::store::IntermediateStore;
 use crate::workflow::{NodeId, Workflow};
 use crate::{HelixError, Result};
@@ -71,30 +70,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
-/// How many worker threads the engine should use by default: the
-/// `HELIX_PARALLELISM` environment variable when set to a positive
-/// integer (the CI equivalence matrix forces `1` and `2` this way),
-/// otherwise the machine's available parallelism. (One of the knobs
-/// unified behind [`crate::EngineConfig::from_env`].)
-pub fn default_parallelism() -> usize {
-    crate::config_env::parallelism()
-}
-
-/// Fallback for [`default_partition_rows`] when `HELIX_PARTITION_ROWS`
+/// Fallback for [`crate::config_env::partition_rows`] when `HELIX_PARTITION_ROWS`
 /// is unset: measured on the scaled benchmark workloads as the smallest
 /// slice for which the split/merge overhead stays well under the
 /// per-slice compute time (see `docs/PERFORMANCE.md`).
 pub const DEFAULT_PARTITION_ROWS: usize = 4096;
-
-/// Rows-per-partition threshold for operator-level data parallelism: the
-/// `HELIX_PARTITION_ROWS` environment variable when set to a positive
-/// integer, otherwise [`DEFAULT_PARTITION_ROWS`]. A partitionable node
-/// splits only when its input holds at least twice this many rows, so
-/// every partition has at least the threshold's worth of work. (One of
-/// the knobs unified behind [`crate::EngineConfig::from_env`].)
-pub fn default_partition_rows() -> usize {
-    crate::config_env::partition_rows()
-}
 
 /// Hard cap on partitions per node: beyond the machine's useful fan-out,
 /// more slices only add merge overhead.
@@ -107,7 +87,7 @@ pub struct ExecOpts {
     /// *and* helps execute). `1` runs the classic sequential loop.
     pub parallelism: usize,
     /// Rows-per-partition threshold for data-parallel operators (see
-    /// [`default_partition_rows`]).
+    /// [`crate::config_env::partition_rows`]).
     pub partition_rows: usize,
     /// Per-node partition thresholds by [`NodeId::index`], overriding
     /// `partition_rows` where present. The engine derives these from the
@@ -125,8 +105,8 @@ pub struct ExecOpts {
 impl Default for ExecOpts {
     fn default() -> Self {
         ExecOpts {
-            parallelism: default_parallelism(),
-            partition_rows: default_partition_rows(),
+            parallelism: crate::config_env::parallelism(),
+            partition_rows: crate::config_env::partition_rows(),
             node_partition_rows: None,
             pool: None,
         }
@@ -176,19 +156,6 @@ pub struct ExecutedNode {
     pub chunks_loaded: usize,
 }
 
-/// Everything [`execute_plan`] hands back to the engine.
-#[derive(Debug)]
-pub struct ExecutionResult {
-    /// Node outputs by [`NodeId::index`] (`None` for pruned nodes).
-    pub outputs: Vec<Option<NodeOutput>>,
-    /// Per-wave timings *derived* from per-node durations and the plan's
-    /// dependency levels (the primary record is per node; see
-    /// [`crate::report::NodeReport`]). At `parallelism = 1` a wave's
-    /// `secs` is the sum of member durations; otherwise it is the slowest
-    /// member's duration.
-    pub waves: Vec<WaveReport>,
-}
-
 /// Raw per-node result held until the merge cursor reaches it.
 struct RawResult {
     output: NodeOutput,
@@ -196,7 +163,8 @@ struct RawResult {
 }
 
 /// Executes a compiled plan, invoking `merge` once per non-pruned node in
-/// plan order with the node's raw result.
+/// plan order with the node's raw result, and returns the node outputs
+/// by [`NodeId::index`] (`None` for pruned nodes).
 ///
 /// The merge callback owns every stateful step (cost observation,
 /// materialization, metric harvesting); see the module docs for why that
@@ -216,7 +184,7 @@ pub fn execute_plan<M>(
     store: &IntermediateStore,
     opts: &ExecOpts,
     mut merge: M,
-) -> Result<ExecutionResult>
+) -> Result<Vec<Option<NodeOutput>>>
 where
     M: FnMut(NodeId, &ExecutedNode, &NodeOutput) -> Result<()>,
 {
@@ -227,38 +195,6 @@ where
     }
 }
 
-/// Derives per-wave timings from per-node durations: `secs[i]` indexed by
-/// node, `None` for nodes that did not execute. `sum_members` selects the
-/// sequential convention (sum of member durations) over the parallel one
-/// (slowest member).
-fn derive_waves(
-    workflow: &Workflow,
-    states: &[NodeState],
-    secs: &[Option<f64>],
-    sum_members: bool,
-) -> Vec<WaveReport> {
-    let levels = wave_levels(workflow, states);
-    let n_waves = levels.iter().flatten().copied().max().map_or(0, |l| l + 1);
-    let mut waves = vec![
-        WaveReport {
-            nodes: 0,
-            secs: 0.0
-        };
-        n_waves
-    ];
-    for (i, level) in levels.iter().enumerate() {
-        let Some(level) = level else { continue };
-        let Some(node_secs) = secs[i] else { continue };
-        waves[*level].nodes += 1;
-        if sum_members {
-            waves[*level].secs += node_secs;
-        } else {
-            waves[*level].secs = waves[*level].secs.max(node_secs);
-        }
-    }
-    waves
-}
-
 /// The sequential path: execute and merge one node at a time in plan
 /// order — exactly the engine's historical iteration loop.
 fn execute_sequential<M>(
@@ -266,25 +202,22 @@ fn execute_sequential<M>(
     plan: &CompiledPlan,
     store: &IntermediateStore,
     mut merge: M,
-) -> Result<ExecutionResult>
+) -> Result<Vec<Option<NodeOutput>>>
 where
     M: FnMut(NodeId, &ExecutedNode, &NodeOutput) -> Result<()>,
 {
     let n = workflow.len();
     let mut outputs: Vec<Option<NodeOutput>> = (0..n).map(|_| None).collect();
-    let mut secs: Vec<Option<f64>> = vec![None; n];
     for &id in &plan.order {
         let i = id.index();
         if plan.states[i] == NodeState::Prune {
             continue;
         }
         let raw = run_node(workflow, plan, store, id, |p| outputs[p.index()].as_ref())?;
-        secs[i] = Some(raw.executed.secs);
         merge(id, &raw.executed, &raw.output)?;
         outputs[i] = Some(raw.output);
     }
-    let waves = derive_waves(workflow, &plan.states, &secs, true);
-    Ok(ExecutionResult { outputs, waves })
+    Ok(outputs)
 }
 
 // ---------------------------------------------------------------------------
@@ -950,7 +883,7 @@ fn execute_ready_queue<M>(
     store: &IntermediateStore,
     opts: &ExecOpts,
     merge: &mut M,
-) -> Result<ExecutionResult>
+) -> Result<Vec<Option<NodeOutput>>>
 where
     M: FnMut(NodeId, &ExecutedNode, &NodeOutput) -> Result<()>,
 {
@@ -961,10 +894,7 @@ where
         .filter(|&&s| s != NodeState::Prune)
         .count();
     if executable == 0 {
-        return Ok(ExecutionResult {
-            outputs: (0..n).map(|_| None).collect(),
-            waves: Vec::new(),
-        });
+        return Ok((0..n).map(|_| None).collect());
     }
     // The calling thread is a full participant (it merges *and* helps
     // execute), so it takes one of the `parallelism` slots. Unlike
@@ -1038,16 +968,11 @@ where
     };
     outcome?;
 
-    let mut outputs: Vec<Option<NodeOutput>> = (0..n).map(|_| None).collect();
-    let mut secs: Vec<Option<f64>> = vec![None; n];
-    for (i, cell) in exec.results.into_iter().enumerate() {
-        if let Some(raw) = cell.into_inner() {
-            secs[i] = Some(raw.executed.secs);
-            outputs[i] = Some(raw.output);
-        }
-    }
-    let waves = derive_waves(workflow, &plan.states, &secs, false);
-    Ok(ExecutionResult { outputs, waves })
+    Ok(exec
+        .results
+        .into_iter()
+        .map(|cell| cell.into_inner().map(|raw| raw.output))
+        .collect())
 }
 
 /// Executes a single node (load or compute), timing it. A panicking
@@ -1283,7 +1208,7 @@ mod tests {
         w
     }
 
-    fn run(w: &Workflow, parallelism: usize) -> (ExecutionResult, Vec<NodeId>) {
+    fn run(w: &Workflow, parallelism: usize) -> (Vec<Option<NodeOutput>>, Vec<NodeId>) {
         let store = tmp_store(&format!("run-{parallelism}-{}", w.len()));
         let cm = CostModel::new();
         let plan = compile(w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
@@ -1305,12 +1230,12 @@ mod tests {
         );
         let (seq, seq_merged) = run(&w, 1);
         let (par, par_merged) = run(&w, 4);
-        assert_eq!(seq.outputs, par.outputs);
+        assert_eq!(seq, par);
         assert_eq!(seq_merged, par_merged, "merge order must be plan order");
     }
 
     #[test]
-    fn all_strategies_agree_on_outputs_and_merge_order() {
+    fn thread_counts_agree_on_outputs_and_merge_order() {
         let w = dag(
             7,
             &[
@@ -1339,12 +1264,9 @@ mod tests {
             })
             .unwrap();
             match &reference {
-                None => reference = Some((result.outputs, merged)),
+                None => reference = Some((result, merged)),
                 Some((outputs, order)) => {
-                    assert_eq!(
-                        outputs, &result.outputs,
-                        "parallelism {parallelism} outputs"
-                    );
+                    assert_eq!(outputs, &result, "parallelism {parallelism} outputs");
                     assert_eq!(order, &merged, "parallelism {parallelism} merge order");
                 }
             }
@@ -1372,8 +1294,6 @@ mod tests {
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
         assert_eq!(plan.order, vec![NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
         assert_eq!(plan.states[2], NodeState::Load);
-        let levels = wave_levels(&w, &plan.states);
-        assert_eq!(levels, vec![Some(0), Some(1), Some(0), Some(1)]);
         let mut merged = Vec::new();
         let result = execute_plan(&w, &plan, &store, &with_threads(4), |id, _, _| {
             merged.push(id);
@@ -1382,7 +1302,7 @@ mod tests {
         .unwrap();
         assert_eq!(merged, plan.order, "merge must follow plan order");
         // Node 3 = salt 4 + loaded parent value 4.
-        assert_eq!(result.outputs[3], Some(NodeOutput::Data(int_rows(&[8]))));
+        assert_eq!(result[3], Some(NodeOutput::Data(int_rows(&[8]))));
     }
 
     #[test]
@@ -1652,15 +1572,8 @@ mod tests {
             .unwrap();
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
         assert_eq!(plan.states[1], NodeState::Load);
-        let levels = wave_levels(&w, &plan.states);
-        assert_eq!(
-            levels,
-            vec![None, Some(0), Some(1)],
-            "the load sits in wave 0"
-        );
         let result = execute_plan(&w, &plan, &store, &with_threads(4), |_, _, _| Ok(())).unwrap();
-        assert_eq!(result.outputs[1], Some(NodeOutput::Data(int_rows(&[42]))));
-        assert_eq!(result.waves.len(), 2, "derived wave depth");
+        assert_eq!(result[1], Some(NodeOutput::Data(int_rows(&[42]))));
     }
 
     #[test]
@@ -1821,7 +1734,11 @@ mod tests {
         w
     }
 
-    fn run_opts(w: &Workflow, opts: &ExecOpts, tag: &str) -> (ExecutionResult, Vec<NodeId>) {
+    fn run_opts(
+        w: &Workflow,
+        opts: &ExecOpts,
+        tag: &str,
+    ) -> (Vec<Option<NodeOutput>>, Vec<NodeId>) {
         let store = tmp_store(tag);
         let cm = CostModel::new();
         let plan = compile(w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
@@ -1857,7 +1774,7 @@ mod tests {
                 &format!("part-{parallelism}-{partition_rows}"),
             );
             assert_eq!(
-                seq.outputs, par.outputs,
+                seq, par,
                 "parallelism {parallelism}, partition_rows {partition_rows}"
             );
             assert_eq!(seq_merged, par_merged, "merge order must be plan order");
@@ -1954,7 +1871,7 @@ mod tests {
         };
         let (first, _) = run_opts(&w, &opts, "pool-reuse-a");
         let (second, _) = run_opts(&w, &opts, "pool-reuse-b");
-        assert_eq!(first.outputs, second.outputs);
+        assert_eq!(first, second);
         assert!(
             pool.threads() <= 2,
             "runs must reuse the capped pool, spawned {}",

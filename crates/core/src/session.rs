@@ -58,7 +58,9 @@
 //! assert_eq!(first.iteration, 0);
 //!
 //! // The human-in-the-loop edit: one typed knob turn, then rerun.
-//! alice.set_learner_param("preds", LearnerParam::RegParam(0.01)).unwrap();
+//! alice
+//!     .with(|s| s.set_learner_param("preds", LearnerParam::RegParam(0.01)))
+//!     .unwrap();
 //! let second = alice.iterate().unwrap();
 //! assert_eq!(second.iteration, 1);
 //! assert!(second.metric("accuracy").is_some());
@@ -592,9 +594,9 @@ impl Session {
             )));
         }
         let opts = self.engine.exec_opts();
-        let mut result =
+        let mut outputs =
             execute_plan(&target, &plan, self.engine.store(), &opts, |_, _, _| Ok(()))?;
-        result.outputs[id.index()]
+        outputs[id.index()]
             .take()
             .ok_or_else(|| HelixError::Exec(format!("`{name}` produced no output (plan bug)")))
     }
@@ -692,9 +694,11 @@ impl Session {
 
 use crate::lock;
 
-/// A cloneable, thread-safe handle to one managed [`Session`]. All
-/// methods take `&self` and serialize on the session's own lock —
-/// distinct sessions never contend.
+/// A cloneable, thread-safe handle to one managed [`Session`].
+/// [`SessionHandle::with`] is the way in: it runs a closure on the
+/// session under the session's own lock, so distinct sessions never
+/// contend. `iterate`, `append_data` and `replace_workflow` are
+/// shortcuts through it.
 ///
 /// Every accessor also *touches* the handle's idle clock, so a session
 /// being used — read or written — never looks idle to
@@ -743,85 +747,17 @@ impl SessionHandle {
 
     /// See [`Session::iterate`].
     pub fn iterate(&self) -> Result<IterationReport> {
-        self.touch();
-        lock(&self.inner).iterate()
-    }
-
-    /// See [`Session::set_learner_param`].
-    pub fn set_learner_param(&self, learner: &str, param: LearnerParam) -> Result<()> {
-        self.touch();
-        lock(&self.inner).set_learner_param(learner, param)
-    }
-
-    /// See [`Session::replace_operator`].
-    pub fn replace_operator(&self, node: &str, kind: OperatorKind) -> Result<()> {
-        self.touch();
-        lock(&self.inner).replace_operator(node, kind)
-    }
-
-    /// See [`Session::rewire`].
-    pub fn rewire(&self, node: &str, parents: &[&str]) -> Result<()> {
-        self.touch();
-        lock(&self.inner).rewire(node, parents)
-    }
-
-    /// See [`Session::add_output`].
-    pub fn add_output(&self, node: &str) -> Result<()> {
-        self.touch();
-        lock(&self.inner).add_output(node)
+        self.with(|s| s.iterate())
     }
 
     /// See [`Session::append_data`].
     pub fn append_data(&self, source: &str, rows: &[String]) -> Result<usize> {
-        self.touch();
-        lock(&self.inner).append_data(source, rows)
-    }
-
-    /// See [`Session::uncertain_examples`].
-    pub fn uncertain_examples(&self, k: usize) -> Result<Vec<UncertainExample>> {
-        self.touch();
-        lock(&self.inner).uncertain_examples(k)
-    }
-
-    /// See [`Session::edit`].
-    pub fn edit<R>(
-        &self,
-        description: impl Into<String>,
-        f: impl FnOnce(&mut Workflow) -> Result<R>,
-    ) -> Result<R> {
-        self.touch();
-        lock(&self.inner).edit(description, f)
+        self.with(|s| s.append_data(source, rows))
     }
 
     /// See [`Session::replace_workflow`].
     pub fn replace_workflow(&self, workflow: Workflow) {
-        self.touch();
-        lock(&self.inner).replace_workflow(workflow)
-    }
-
-    /// See [`Session::set_template`].
-    pub fn set_template(&self, template: impl Into<String>) {
-        self.touch();
-        lock(&self.inner).set_template(template)
-    }
-
-    /// See [`Session::replace_workflow_from_template`].
-    pub fn replace_workflow_from_template(&self, workflow: Workflow, template: impl Into<String>) {
-        self.touch();
-        lock(&self.inner).replace_workflow_from_template(workflow, template)
-    }
-
-    /// How many iterations the session has executed.
-    pub fn iteration(&self) -> usize {
-        self.touch();
-        lock(&self.inner).iteration()
-    }
-
-    /// Point-in-time snapshot of this session's version history (the
-    /// wire layer's history/lineage reads — no lock held after return).
-    pub fn versions(&self) -> VersionStore {
-        self.touch();
-        lock(&self.inner).versions().clone()
+        self.with(|s| s.replace_workflow(workflow))
     }
 }
 
@@ -1342,12 +1278,12 @@ mod tests {
         assert!(manager.get("zed").is_none());
 
         a.iterate().unwrap();
-        assert_eq!(a.iteration(), 1);
+        assert_eq!(a.with(|s| s.iteration()), 1);
         let removed = manager.remove("alice").unwrap();
         assert_eq!(manager.len(), 1);
         // The removed handle stays usable.
         removed.iterate().unwrap();
-        assert_eq!(removed.iteration(), 2);
+        assert_eq!(removed.with(|s| s.iteration()), 2);
     }
 
     #[test]
@@ -1376,7 +1312,7 @@ mod tests {
         manager.create("idle", workflow(&dir, 0.2)).unwrap();
         std::thread::sleep(Duration::from_millis(700));
         // Any accessor counts as a touch.
-        let _ = active.iteration();
+        let _ = active.with(|s| s.iteration());
         let evicted = manager.evict_idle(Duration::from_millis(500));
         assert_eq!(evicted, vec!["idle".to_string()]);
         assert_eq!(manager.names(), vec!["active"]);
@@ -1464,7 +1400,7 @@ mod tests {
                 .unwrap();
             alice.iterate().unwrap();
             alice
-                .set_learner_param("predictions", LearnerParam::RegParam(0.9))
+                .with(|s| s.set_learner_param("predictions", LearnerParam::RegParam(0.9)))
                 .unwrap();
             alice.iterate().unwrap();
         } // process "dies" here: nothing is shut down in order
@@ -1475,8 +1411,8 @@ mod tests {
         assert_eq!(recovered, 1);
         assert_eq!(manager.recovered_sessions(), 1);
         let alice = manager.get("alice").unwrap();
-        assert_eq!(alice.iteration(), 2, "lineage counter survives");
-        let versions = alice.versions();
+        assert_eq!(alice.with(|s| s.iteration()), 2, "lineage counter survives");
+        let versions = alice.with(|s| s.versions().clone());
         assert_eq!(versions.len(), 2, "private history survives");
         assert_eq!(
             versions.get(1).unwrap().change_summary,
@@ -1506,7 +1442,7 @@ mod tests {
                 .unwrap();
             alice.iterate().unwrap();
             alice
-                .set_learner_param("predictions", LearnerParam::Epochs(6))
+                .with(|s| s.set_learner_param("predictions", LearnerParam::Epochs(6)))
                 .unwrap();
             // killed before iterating the edit
         }
@@ -1533,8 +1469,12 @@ mod tests {
         let manager = SessionManager::new(durable_engine(&dir));
         assert_eq!(manager.recover(|_| Some(workflow(&dir, 0.1))), 1);
         let bob = manager.get("bob").unwrap();
-        assert_eq!(bob.iteration(), 2, "lineage survives degraded recovery");
-        assert_eq!(bob.versions().len(), 2, "history survives");
+        assert_eq!(
+            bob.with(|s| s.iteration()),
+            2,
+            "lineage survives degraded recovery"
+        );
+        assert_eq!(bob.with(|s| s.versions().len()), 2, "history survives");
         // The live workflow reset to the template; the next iteration
         // still runs and derives its summary from the signature diff.
         let report = bob.iterate().unwrap();

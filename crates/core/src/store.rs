@@ -59,14 +59,6 @@ static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 /// Default number of shards when `HELIX_STORE_SHARDS` is unset.
 pub const DEFAULT_STORE_SHARDS: usize = 16;
 
-/// The shard count the engine uses by default: the `HELIX_STORE_SHARDS`
-/// environment variable when set to a positive integer, otherwise
-/// [`DEFAULT_STORE_SHARDS`]. (One of the knobs unified behind
-/// [`crate::EngineConfig::from_env`].)
-pub fn default_store_shards() -> usize {
-    crate::config_env::store_shards()
-}
-
 /// How (and whether) the store and engine state survive a process crash.
 ///
 /// The default is [`Durability::Volatile`] — identical behavior and put
@@ -119,20 +111,6 @@ impl Durability {
         matches!(self, Durability::Wal { .. })
     }
 
-    /// Overrides the WAL compaction threshold (the `HELIX_WAL_SNAPSHOT_BYTES`
-    /// knob): a shard whose log exceeds this many bytes compacts into a
-    /// snapshot on the next append, instead of only at open and on
-    /// `POST /admin/snapshot`. A no-op for [`Durability::Volatile`].
-    pub fn with_compact_after_bytes(self, bytes: u64) -> Self {
-        match self {
-            Durability::Volatile => Durability::Volatile,
-            Durability::Wal { fsync, .. } => Durability::Wal {
-                fsync,
-                compact_after_bytes: bytes.max(1),
-            },
-        }
-    }
-
     /// Parses the `HELIX_DURABILITY` environment value: `volatile`,
     /// `wal`, or `wal-nosync` (case-insensitive). `None` for anything
     /// else.
@@ -168,13 +146,13 @@ pub struct StoreOptions {
 
 impl StoreOptions {
     /// Options rooted at `dir` with an unlimited budget, the default
-    /// shard count ([`default_store_shards`]), and
+    /// shard count ([`crate::config_env::store_shards`]), and
     /// [`Durability::Volatile`].
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         StoreOptions {
             dir: dir.into(),
             budget_bytes: u64::MAX,
-            shards: default_store_shards(),
+            shards: crate::config_env::store_shards(),
             durability: Durability::default(),
         }
     }

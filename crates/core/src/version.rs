@@ -302,14 +302,12 @@ mod tests {
                 stage: Stage::MachineLearning,
                 state: NodeState::Compute,
                 change: ChangeKind::Unchanged,
-                wave: Some(0),
                 duration_secs: secs,
                 output_bytes: 0,
                 materialized: false,
                 chunks_loaded: 0,
                 decision_source: crate::memo::DecisionSource::Estimate,
             }],
-            waves: vec![],
             metrics: vec![("accuracy".into(), acc)],
         }
     }

@@ -225,7 +225,10 @@ impl Api {
             .names()
             .into_iter()
             .map(|name| {
-                let iterations = self.manager.get(&name).map(|s| s.iteration()).unwrap_or(0);
+                let iterations = self
+                    .manager
+                    .get(&name)
+                    .map_or(0, |h| h.with(|s| s.iteration()));
                 Json::obj([
                     ("name", Json::str(name)),
                     ("iterations", Json::Num(iterations as f64)),
@@ -285,7 +288,10 @@ impl Api {
         match self.manager.remove(name) {
             Some(session) => ok(Json::obj([
                 ("closed", Json::str(name)),
-                ("iterations", Json::Num(session.iteration() as f64)),
+                (
+                    "iterations",
+                    Json::Num(session.with(|s| s.iteration()) as f64),
+                ),
             ])),
             None => error_body(404, format!("unknown session `{name}`")),
         }
@@ -301,25 +307,27 @@ impl Api {
             Err(err) => return error_body(400, err.to_string()),
         };
         self.with_session(name, |session| {
-            match edit {
-                wire::EditRequest::SetLearnerParam { learner, param } => {
-                    session.set_learner_param(&learner, param)?
-                }
-                wire::EditRequest::ReplaceOperator { node, kind } => {
-                    session.replace_operator(&node, kind)?
-                }
-                wire::EditRequest::Rewire { node, parents } => {
-                    let refs: Vec<&str> = parents.iter().map(String::as_str).collect();
-                    session.rewire(&node, &refs)?
-                }
-                wire::EditRequest::AddOutput { node } => session.add_output(&node)?,
-            }
             let pending = session.with(|s| {
-                s.pending_edits()
-                    .iter()
-                    .map(|e| e.to_string())
-                    .collect::<Vec<_>>()
-            });
+                match edit {
+                    wire::EditRequest::SetLearnerParam { learner, param } => {
+                        s.set_learner_param(&learner, param)?
+                    }
+                    wire::EditRequest::ReplaceOperator { node, kind } => {
+                        s.replace_operator(&node, kind)?
+                    }
+                    wire::EditRequest::Rewire { node, parents } => {
+                        let refs: Vec<&str> = parents.iter().map(String::as_str).collect();
+                        s.rewire(&node, &refs)?
+                    }
+                    wire::EditRequest::AddOutput { node } => s.add_output(&node)?,
+                }
+                Ok::<_, HelixError>(
+                    s.pending_edits()
+                        .iter()
+                        .map(|e| e.to_string())
+                        .collect::<Vec<_>>(),
+                )
+            })?;
             Ok(ok(Json::obj([
                 ("session", Json::str(name)),
                 (
@@ -383,7 +391,7 @@ impl Api {
             None => 10,
         };
         self.with_session(name, |session| {
-            let examples = session.uncertain_examples(k)?;
+            let examples = session.with(|s| s.uncertain_examples(k))?;
             Ok(ok(Json::obj([
                 ("session", Json::str(name)),
                 ("k", Json::Num(k as f64)),
@@ -408,7 +416,7 @@ impl Api {
             // The replacement is itself a registry template, so the
             // durable record stays exactly recoverable (template + empty
             // edit log) instead of degrading to template-reset mode.
-            session.replace_workflow_from_template(workflow, &template);
+            session.with(|s| s.replace_workflow_from_template(workflow, &template));
             Ok(ok(Json::obj([
                 ("session", Json::str(name)),
                 ("workflow_replaced", Json::Bool(true)),
@@ -418,11 +426,9 @@ impl Api {
 
     fn versions(&self, name: &str) -> Response {
         self.with_session(name, |session| {
-            let versions = session.versions();
-            Ok(ok(Json::obj([(
-                "versions",
-                Json::Arr(versions.all().iter().map(wire::version_json).collect()),
-            )])))
+            let versions =
+                session.with(|s| s.versions().all().iter().map(wire::version_json).collect());
+            Ok(ok(Json::obj([("versions", Json::Arr(versions))])))
         })
     }
 
@@ -431,9 +437,9 @@ impl Api {
             return error_body(400, format!("version id `{id}` is not a number"));
         };
         self.with_session(name, |session| {
-            let versions = session.versions();
-            Ok(match versions.get(id) {
-                Some(version) => ok(wire::version_detail_json(version)),
+            let detail = session.with(|s| s.versions().get(id).map(wire::version_detail_json));
+            Ok(match detail {
+                Some(detail) => ok(detail),
                 None => error_body(404, format!("session `{name}` has no version {id}")),
             })
         })
@@ -451,8 +457,7 @@ impl Api {
             (Err(resp), _) | (_, Err(resp)) => return resp,
         };
         self.with_session(name, |session| {
-            let versions = session.versions();
-            Ok(match versions.diff(from, to) {
+            Ok(match session.with(|s| s.versions().diff(from, to)) {
                 Some(diff) => ok(wire::diff_json(&diff)),
                 None => error_body(
                     404,

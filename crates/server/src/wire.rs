@@ -10,7 +10,7 @@
 
 use crate::json::Json;
 use helix_core::ops::{EvalSpec, MetricKind, ModelType, OperatorKind};
-use helix_core::report::{IterationReport, NodeReport, WaveReport};
+use helix_core::report::{IterationReport, NodeReport};
 use helix_core::signature::ChangeKind;
 use helix_core::version::{DagSnapshot, VersionDiff, WorkflowVersion};
 use helix_core::{LearnerParam, LearnerSpec, NodeState};
@@ -40,10 +40,6 @@ fn node_json(node: &NodeReport) -> Json {
         ("stage", Json::str(node.stage.to_string())),
         ("state", Json::str(node_state_str(node.state))),
         ("change", Json::str(change_kind_str(node.change))),
-        (
-            "wave",
-            node.wave.map_or(Json::Null, |w| Json::Num(w as f64)),
-        ),
         ("duration_secs", Json::Num(node.duration_secs)),
         ("output_bytes", Json::Num(node.output_bytes as f64)),
         ("materialized", Json::Bool(node.materialized)),
@@ -52,13 +48,6 @@ fn node_json(node: &NodeReport) -> Json {
             "decision_source",
             Json::str(node.decision_source.to_string()),
         ),
-    ])
-}
-
-fn wave_json(wave: &WaveReport) -> Json {
-    Json::obj([
-        ("nodes", Json::Num(wave.nodes as f64)),
-        ("secs", Json::Num(wave.secs)),
     ])
 }
 
@@ -72,8 +61,7 @@ fn metrics_json(metrics: &[(String, f64)]) -> Json {
 }
 
 /// The full report shape returned by `POST /sessions/{name}/iterate`:
-/// per-node timings and states, derived wave summaries, reuse counts,
-/// and harvested metrics.
+/// per-node timings and states, reuse counts, and harvested metrics.
 pub fn report_json(report: &IterationReport) -> Json {
     Json::obj([
         ("iteration", Json::Num(report.iteration as f64)),
@@ -95,10 +83,6 @@ pub fn report_json(report: &IterationReport) -> Json {
         (
             "nodes",
             Json::Arr(report.nodes.iter().map(node_json).collect()),
-        ),
-        (
-            "waves",
-            Json::Arr(report.waves.iter().map(wave_json).collect()),
         ),
     ])
 }
@@ -551,16 +535,11 @@ mod tests {
                 stage: Stage::DataPreProcessing,
                 state: NodeState::Load,
                 change: ChangeKind::Unchanged,
-                wave: Some(0),
                 duration_secs: 0.5,
                 output_bytes: 2048,
                 materialized: false,
                 chunks_loaded: 0,
                 decision_source: helix_core::DecisionSource::Estimate,
-            }],
-            waves: vec![WaveReport {
-                nodes: 1,
-                secs: 0.5,
             }],
             metrics: vec![("accuracy".into(), 0.83)],
             snapshot: Arc::default(),

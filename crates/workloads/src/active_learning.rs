@@ -65,12 +65,12 @@ pub fn run_active_learning(
     source: &str,
     spec: &ActiveLearningSpec,
 ) -> Result<Vec<ActiveLearningRound>> {
-    if session.iteration() == 0 {
+    if session.with(|s| s.iteration()) == 0 {
         session.iterate()?;
     }
     let mut rounds = Vec::with_capacity(spec.rounds);
     for round in 0..spec.rounds {
-        let candidates = session.uncertain_examples(spec.batch)?;
+        let candidates = session.with(|s| s.uncertain_examples(spec.batch))?;
         let labels = census::labeled_rows(spec.batch, spec.seed.wrapping_add(round as u64));
         let appended = session.append_data(source, &labels)?;
         let report = session.iterate()?;
@@ -137,7 +137,7 @@ mod tests {
             );
         }
         // 3 iterations total: the warm-up plus one per round.
-        assert_eq!(session.iteration(), 3);
+        assert_eq!(session.with(|s| s.iteration()), 3);
     }
 
     #[test]

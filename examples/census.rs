@@ -62,7 +62,9 @@ fn main() {
     parents.push("ms".to_string());
     parents.push(label);
     let parent_refs: Vec<&str> = parents.iter().map(String::as_str).collect();
-    session.rewire("income", &parent_refs).expect("+msExt edit");
+    session
+        .with(|s| s.rewire("income", &parent_refs))
+        .expect("+msExt edit");
     let r2 = session.iterate().expect("run v2");
     println!("v2 (+msExt): {}", r2.summary());
     println!("v2 accuracy = {:?}\n", r2.metric("accuracy"));

@@ -13,16 +13,16 @@
 //! ```
 
 use helix::core::ops::{EvalSpec, MetricKind, OperatorKind};
-use helix::core::session::{LearnerParam, SessionHandle, SessionManager};
-use helix::core::{Engine, EngineConfig};
+use helix::core::session::{LearnerParam, Session, SessionHandle, SessionManager};
+use helix::core::{Engine, EngineConfig, Result};
 use helix::workloads::census::{census_workflow, generate_census, CensusDataSpec, CensusParams};
 use std::sync::Arc;
 
 /// One analyst's script: a cold iteration, a typed edit, an edited rerun.
-fn drive(session: &SessionHandle, edit: impl FnOnce(&SessionHandle)) {
+fn drive(session: &SessionHandle, edit: impl FnOnce(&mut Session) -> Result<()>) {
     let name = session.name();
     let first = session.iterate().expect("first iteration");
-    edit(session);
+    session.with(edit).expect("edit");
     let second = session.iterate().expect("second iteration");
     println!("[{name}] iter 0: {}", first.summary());
     println!(
@@ -65,13 +65,11 @@ fn main() {
         scope.spawn(|| {
             drive(&alice, |s| {
                 s.set_learner_param("predictions", LearnerParam::RegParam(0.02))
-                    .expect("edit")
             })
         });
         scope.spawn(|| {
             drive(&bob, |s| {
                 s.set_learner_param("predictions", LearnerParam::Epochs(6))
-                    .expect("edit")
             })
         });
         scope.spawn(|| {
@@ -83,7 +81,6 @@ fn main() {
                         split: helix::core::SPLIT_TEST.into(),
                     }),
                 )
-                .expect("edit")
             })
         });
     });

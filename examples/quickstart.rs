@@ -107,7 +107,7 @@ fn main() {
     // The human-in-the-loop edit is one typed knob turn on the live
     // workflow — no rebuilding, and the version history records the edit.
     session
-        .set_learner_param("predictions", LearnerParam::RegParam(0.01))
+        .with(|s| s.set_learner_param("predictions", LearnerParam::RegParam(0.01)))
         .expect("edit");
     let report = session.iterate().expect("run");
     println!("{}", report.summary());

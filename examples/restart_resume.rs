@@ -46,7 +46,7 @@ fn main() {
             first.total_secs
         );
         session
-            .set_learner_param("predictions", LearnerParam::RegParam(0.01))
+            .with(|s| s.set_learner_param("predictions", LearnerParam::RegParam(0.01)))
             .expect("edit");
         let second = session.iterate().expect("iterate");
         println!(
@@ -81,11 +81,11 @@ fn main() {
     let session = manager.get("alice").expect("alice survived the restart");
     println!(
         "  alice resumes at iteration {} with {} versions of history",
-        session.iteration(),
-        session.versions().len()
+        session.with(|s| s.iteration()),
+        session.with(|s| s.versions().len())
     );
     session
-        .set_learner_param("predictions", LearnerParam::Epochs(8))
+        .with(|s| s.set_learner_param("predictions", LearnerParam::Epochs(8)))
         .expect("edit");
     let resumed = session.iterate().expect("iterate");
     println!(

@@ -150,11 +150,11 @@ fn restarted_engine_matches_never_restarted_twin() {
         .unwrap();
     let mut control_facts = vec![ReportFacts::of(&control_session.iterate().unwrap())];
     control_session
-        .set_learner_param("predictions", LearnerParam::RegParam(0.9))
+        .with(|s| s.set_learner_param("predictions", LearnerParam::RegParam(0.9)))
         .unwrap();
     control_facts.push(ReportFacts::of(&control_session.iterate().unwrap()));
     control_session
-        .set_learner_param("predictions", LearnerParam::Epochs(6))
+        .with(|s| s.set_learner_param("predictions", LearnerParam::Epochs(6)))
         .unwrap();
     control_facts.push(ReportFacts::of(&control_session.iterate().unwrap()));
 
@@ -166,7 +166,7 @@ fn restarted_engine_matches_never_restarted_twin() {
         .unwrap();
     let mut twin_facts = vec![ReportFacts::of(&session.iterate().unwrap())];
     session
-        .set_learner_param("predictions", LearnerParam::RegParam(0.9))
+        .with(|s| s.set_learner_param("predictions", LearnerParam::RegParam(0.9)))
         .unwrap();
     twin_facts.push(ReportFacts::of(&session.iterate().unwrap()));
     drop(session);
@@ -178,7 +178,7 @@ fn restarted_engine_matches_never_restarted_twin() {
     assert_eq!(recovered, 1, "alice must come back");
     let session = manager.get("alice").unwrap();
     session
-        .set_learner_param("predictions", LearnerParam::Epochs(6))
+        .with(|s| s.set_learner_param("predictions", LearnerParam::Epochs(6)))
         .unwrap();
     twin_facts.push(ReportFacts::of(&session.iterate().unwrap()));
 
@@ -193,8 +193,8 @@ fn restarted_engine_matches_never_restarted_twin() {
 
     // History: same length, same summaries, same diff across the restart
     // boundary.
-    let control_versions = control_session.versions();
-    let twin_versions = session.versions();
+    let control_versions = control_session.with(|s| s.versions().clone());
+    let twin_versions = session.with(|s| s.versions().clone());
     assert_eq!(twin_versions.len(), control_versions.len());
     for (t, c) in twin_versions.all().iter().zip(control_versions.all()) {
         assert_eq!(t.change_summary, c.change_summary);
@@ -241,7 +241,7 @@ fn durability_child_worker() {
         let session = if i % 2 == 0 { &alice } else { &bob };
         let flip = if (i / 2) % 2 == 0 { 0.9 } else { 0.1 };
         session
-            .set_learner_param("predictions", LearnerParam::RegParam(flip))
+            .with(|s| s.set_learner_param("predictions", LearnerParam::RegParam(flip)))
             .unwrap();
         let report = session.iterate().unwrap();
         log.push_str(&format!(
@@ -329,17 +329,23 @@ fn sigkill_mid_iteration_loses_no_acknowledged_work() {
     let alice = manager.get("alice").unwrap();
     let bob = manager.get("bob").unwrap();
     assert!(
-        alice.iteration() >= alice_acked,
+        alice.with(|s| s.iteration()) >= alice_acked,
         "alice acknowledged {alice_acked} iterations but recovered {}",
-        alice.iteration()
+        alice.with(|s| s.iteration())
     );
     assert!(
-        bob.iteration() >= bob_acked,
+        bob.with(|s| s.iteration()) >= bob_acked,
         "bob acknowledged {bob_acked} iterations but recovered {}",
-        bob.iteration()
+        bob.with(|s| s.iteration())
     );
-    assert_eq!(alice.versions().len(), alice.iteration());
-    assert_eq!(bob.versions().len(), bob.iteration());
+    assert_eq!(
+        alice.with(|s| s.versions().len()),
+        alice.with(|s| s.iteration())
+    );
+    assert_eq!(
+        bob.with(|s| s.versions().len()),
+        bob.with(|s| s.iteration())
+    );
 
     // The recovered ledger is exactly what is on disk.
     assert_eq!(
@@ -350,7 +356,7 @@ fn sigkill_mid_iteration_loses_no_acknowledged_work() {
     // And the store is warm: a post-crash iteration reuses at least as
     // much as the last acknowledged pre-crash one did.
     alice
-        .set_learner_param("predictions", LearnerParam::Epochs(7))
+        .with(|s| s.set_learner_param("predictions", LearnerParam::Epochs(7)))
         .unwrap();
     let resumed = alice.iterate().unwrap();
     assert!(

@@ -395,6 +395,7 @@ fn census_parallel_matches_sequential_and_reuses() {
     });
     assert!(seq.loaded() > 0, "second census iteration must reuse");
     assert_eq!(seq.loaded(), par.loaded());
+    assert!(par.exec_secs() > 0.0);
 }
 
 #[test]
@@ -438,27 +439,4 @@ fn ie_parallel_matches_sequential_and_reuses() {
         ie_workflow(&params).unwrap()
     });
     assert!(seq.loaded() > 0, "second IE iteration must reuse");
-}
-
-/// The parallel engine's report carries wave timings whose node total
-/// matches the per-node report.
-#[test]
-fn wave_reports_cover_every_executed_node() {
-    let dir = tmpdir("waves-cover");
-    generate_census(
-        &dir,
-        &CensusDataSpec {
-            train_rows: 400,
-            test_rows: 100,
-            ..Default::default()
-        },
-    )
-    .unwrap();
-    let params = CensusParams::initial(&dir);
-    let engine = Engine::new(EngineConfig::helix(dir.join("store")).with_parallelism(4)).unwrap();
-    let report = engine.run(&census_workflow(&params).unwrap()).unwrap();
-    let wave_nodes: usize = report.waves.iter().map(|w| w.nodes).sum();
-    assert_eq!(wave_nodes, report.loaded() + report.computed());
-    assert!(report.wave_count() > 1, "census has dependency depth");
-    assert!(report.exec_secs() > 0.0);
 }

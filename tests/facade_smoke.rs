@@ -97,7 +97,7 @@ fn trivial_workflow_runs_end_to_end_and_reuses() {
 
     // The typed edit handle works through the facade too.
     session
-        .set_learner_param("predictions", LearnerParam::RegParam(0.01))
+        .with(|s| s.set_learner_param("predictions", LearnerParam::RegParam(0.01)))
         .unwrap();
     let third = session.iterate().unwrap();
     assert_eq!(third.change_summary, "set predictions reg_param=0.01");

@@ -10,7 +10,7 @@
 //!   Adversarial shapes (a long chain feeding a wide fan-out, stacked
 //!   diamonds) target the executor's weak spots: dependency chains that
 //!   ready exactly one node at a time and repeated joins where a single
-//!   straggler used to gate a whole wave.
+//!   straggler could stall every dependent.
 //! * **Engine-level** — two engines differing only in `parallelism` must
 //!   produce identical `IterationReport` counts, signatures, and version
 //!   histories across repeated runs of random workflows.
@@ -18,10 +18,10 @@
 //!   under concurrent put/evict traffic at every shard count.
 
 use helix::core::compiler::compile;
+use helix::core::config_env;
 use helix::core::cost::CostModel;
 use helix::core::ops::{OperatorKind, Udf};
-use helix::core::recompute::wave_levels;
-use helix::core::scheduler::{default_parallelism, execute_plan, ExecOpts};
+use helix::core::scheduler::{execute_plan, ExecOpts};
 use helix::core::signature::Signature;
 use helix::core::store::StoreOptions;
 use helix::core::{
@@ -254,11 +254,11 @@ proptest! {
                 merged_par.push(id);
                 Ok(())
             }).unwrap();
-            prop_assert_eq!(&seq.outputs, &par.outputs, "outputs at {} threads", threads);
+            prop_assert_eq!(&seq, &par, "outputs at {} threads", threads);
             prop_assert_eq!(&merged_seq, &merged_par, "merge order at {} threads", threads);
-            // Waves cover exactly the non-pruned nodes at any thread count.
-            let executed: usize = par.waves.iter().map(|ws| ws.nodes).sum();
-            prop_assert_eq!(executed, plan.compute_count() + plan.load_count());
+            // The merge callback fires once per non-pruned node at any
+            // thread count.
+            prop_assert_eq!(merged_par.len(), plan.compute_count() + plan.load_count());
         }
     }
 
@@ -280,7 +280,7 @@ proptest! {
         for (i, node) in w.nodes().iter().enumerate() {
             cm.observe_compute(&node.name, 1.0);
             if mask[i % mask.len()] {
-                let output = first.outputs[i].as_ref().unwrap();
+                let output = first[i].as_ref().unwrap();
                 store.put(plan0.signatures[i], output).unwrap();
             }
         }
@@ -288,18 +288,14 @@ proptest! {
         let plan = compile(&w, &store, &cm, RecomputationPolicy::Optimal, None).unwrap();
         let seq = execute_plan(&w, &plan, &store, &with_threads(1), |_, _, _| Ok(())).unwrap();
         let par = execute_plan(&w, &plan, &store, &with_threads(8), |_, _, _| Ok(())).unwrap();
-        prop_assert_eq!(&seq.outputs, &par.outputs);
+        prop_assert_eq!(&seq, &par);
         // Loaded results equal their original computation (reuse
         // correctness through the store round-trip).
-        for (i, output) in par.outputs.iter().enumerate() {
+        for (i, output) in par.iter().enumerate() {
             if let Some(output) = output {
-                prop_assert_eq!(Some(output), first.outputs[i].as_ref(), "node {}", i);
+                prop_assert_eq!(Some(output), first[i].as_ref(), "node {}", i);
             }
         }
-        // Wave levels stay a partition of the non-pruned plan.
-        let levels = wave_levels(&w, &plan.states);
-        let total = levels.iter().flatten().count();
-        prop_assert_eq!(total, plan.compute_count() + plan.load_count());
     }
 
     /// Adversarial shapes: long chains feeding wide fan-outs and stacked
@@ -323,7 +319,7 @@ proptest! {
                 merged_par.push(id);
                 Ok(())
             }).unwrap();
-            prop_assert_eq!(&seq.outputs, &par.outputs, "outputs at {} threads", threads);
+            prop_assert_eq!(&seq, &par, "outputs at {} threads", threads);
             prop_assert_eq!(&merged_seq, &merged_par, "merge order at {} threads", threads);
         }
     }
@@ -406,7 +402,6 @@ proptest! {
             prop_assert_eq!(a.computed(), b.computed(), "computed, iter {}", iteration);
             prop_assert_eq!(a.pruned(), b.pruned(), "pruned, iter {}", iteration);
             prop_assert_eq!(&a.metrics, &b.metrics, "metrics, iter {}", iteration);
-            prop_assert_eq!(a.wave_count(), b.wave_count(), "waves, iter {}", iteration);
         }
         prop_assert_eq!(seq.versions().len(), par.versions().len());
     }
@@ -437,7 +432,7 @@ proptest! {
         // ~4 slices: threshold of ceil(rows/4) partitions a rows-wide
         // node into 4 ranges; threshold 1 forces the per-node maximum.
         for partition_rows in [usize::MAX, rows.div_ceil(4).max(1), 1] {
-            for parallelism in [1, 2, default_parallelism()] {
+            for parallelism in [1, 2, config_env::parallelism()] {
                 let opts = ExecOpts { parallelism, partition_rows, ..ExecOpts::default() };
                 let mut merged: Vec<NodeId> = Vec::new();
                 let par = execute_plan(&w, &plan, &store, &opts, |id, _, _| {
@@ -445,7 +440,7 @@ proptest! {
                     Ok(())
                 }).unwrap();
                 prop_assert_eq!(
-                    &seq.outputs, &par.outputs,
+                    &seq, &par,
                     "outputs at parallelism {} / partition_rows {}", parallelism, partition_rows
                 );
                 prop_assert_eq!(
@@ -474,7 +469,7 @@ proptest! {
         }).unwrap();
         let par = Engine::new(EngineConfig {
             materialization: MaterializationPolicyKind::Never,
-            parallelism: default_parallelism().max(2),
+            parallelism: config_env::parallelism().max(2),
             ..EngineConfig::helix(dir.join("par"))
         }.with_partition_rows(1)).unwrap();
         for iteration in 0..2 {

@@ -44,7 +44,6 @@ struct ReportFacts {
     loaded: usize,
     computed: usize,
     pruned: usize,
-    wave_count: usize,
     metrics: Vec<(String, f64)>,
     materialized: Vec<String>,
     change_summary: String,
@@ -57,7 +56,6 @@ impl ReportFacts {
             loaded: report.loaded(),
             computed: report.computed(),
             pruned: report.pruned(),
-            wave_count: report.wave_count(),
             metrics: report.metrics.clone(),
             materialized: report
                 .nodes
@@ -75,17 +73,19 @@ impl ReportFacts {
 fn drive(session: &SessionHandle) -> Vec<ReportFacts> {
     let mut facts = vec![ReportFacts::of(&session.iterate().unwrap())];
     session
-        .set_learner_param("predictions", LearnerParam::RegParam(0.02))
+        .with(|s| s.set_learner_param("predictions", LearnerParam::RegParam(0.02)))
         .unwrap();
     facts.push(ReportFacts::of(&session.iterate().unwrap()));
     session
-        .replace_operator(
-            "checked",
-            OperatorKind::Evaluate(EvalSpec {
-                metrics: vec![MetricKind::F1, MetricKind::Precision],
-                split: helix::core::SPLIT_TEST.into(),
-            }),
-        )
+        .with(|s| {
+            s.replace_operator(
+                "checked",
+                OperatorKind::Evaluate(EvalSpec {
+                    metrics: vec![MetricKind::F1, MetricKind::Precision],
+                    split: helix::core::SPLIT_TEST.into(),
+                }),
+            )
+        })
         .unwrap();
     facts.push(ReportFacts::of(&session.iterate().unwrap()));
     facts
@@ -182,7 +182,7 @@ fn simultaneous_sessions_reuse_each_others_intermediates() {
     assert_eq!(warmup.loaded(), 0, "cold start computes everything");
 
     alice
-        .set_learner_param("predictions", LearnerParam::RegParam(0.05))
+        .with(|s| s.set_learner_param("predictions", LearnerParam::RegParam(0.05)))
         .unwrap();
     let (alice_report, bob_report) = std::thread::scope(|scope| {
         let a = scope.spawn(|| alice.iterate().unwrap());
@@ -292,9 +292,13 @@ fn uncertain_examples_do_not_depend_on_materialization_policy() {
             MaterializationPolicyKind::HelixOnline => {}
         }
         let stored_entries = engine.store().len();
-        let ranked = session.uncertain_examples(20).unwrap();
+        let ranked = session.with(|s| s.uncertain_examples(20)).unwrap();
         assert_eq!(ranked.len(), 20, "{tag}");
-        assert_eq!(session.iteration(), 1, "{tag}: ranking ran no iteration");
+        assert_eq!(
+            session.with(|s| s.iteration()),
+            1,
+            "{tag}: ranking ran no iteration"
+        );
         assert_eq!(
             engine.versions().len(),
             1,
@@ -317,6 +321,6 @@ fn uncertain_examples_do_not_depend_on_materialization_policy() {
     // neither read nor recomputed: a client error, not a store failure.
     let session = never_session.expect("never session kept");
     session.append_data("data", &labeled_rows(8, 5)).unwrap();
-    let err = session.uncertain_examples(20).unwrap_err();
+    let err = session.with(|s| s.uncertain_examples(20)).unwrap_err();
     assert!(matches!(err, HelixError::Workflow(_)), "{err}");
 }
