@@ -1,19 +1,16 @@
-//! Durability overhead on the store's put path, and recovery (reopen)
-//! cost.
+//! The store's put path, and recovery (reopen) cost.
 //!
 //! Two groups:
 //!
-//! * `durability_put` — one materialization (encode + write + rename +
-//!   ledger commit) of a fixed ~8 KB collection under each durability
-//!   setting: `volatile` (no WAL), `wal_nosync` (logged, OS-buffered),
-//!   and `wal_fsync` (logged, fsync'd per record). The CI gate holds the
-//!   `volatile` row within 1.05x of the committed baseline — the durable
-//!   tier must cost nothing when switched off — and asserts
-//!   volatile ≤ wal_fsync within the run (the fsync tax is real, so if
-//!   the ordering inverts the measurement is broken).
+//! * `durability_put/volatile` — one materialization (encode + write +
+//!   rename + ledger commit) of a fixed ~8 KB collection. The store's
+//!   put path is the same in every durability tier, so one row covers
+//!   them all; the CI gate holds it within 1.05x of the committed
+//!   baseline.
 //! * `durability_recovery` — wall time of `StoreOptions::open` over a
-//!   WAL directory holding several hundred committed entries: the
-//!   restart latency a served deployment pays before it can answer.
+//!   directory holding several hundred committed entries (the open
+//!   scan): the restart latency a served deployment pays before it can
+//!   answer.
 //!
 //! Run with `cargo bench -p helix-bench --bench durability`. Set
 //! `HELIX_BENCH_FAST=1` for the reduced CI configuration and
@@ -21,7 +18,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use helix_core::signature::Signature;
-use helix_core::store::{Durability, StoreOptions};
+use helix_core::store::StoreOptions;
 use helix_core::NodeOutput;
 use helix_dataflow::{DataCollection, DataType, Row, Schema, Value};
 use std::path::PathBuf;
@@ -52,32 +49,24 @@ fn bench_durability(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("durability_put");
     group.sample_size(samples);
-    for (label, durability) in [
-        ("volatile", Durability::Volatile),
-        ("wal_nosync", Durability::wal_nosync()),
-        ("wal_fsync", Durability::wal()),
-    ] {
-        let store = StoreOptions::new(bench_dir(&format!("put-{label}")))
-            .budget_bytes(1 << 30)
-            .durability(durability)
-            .open()
-            .unwrap();
-        let output = payload();
-        // Fresh signatures per put: every sample is a first-time
-        // materialization, never an overwrite.
-        let mut next_sig = 1u64;
-        group.bench_function(label, |b| {
-            b.iter(|| {
-                next_sig += 1;
-                store.put(Signature(next_sig), &output).unwrap()
-            })
-        });
-    }
+    let store = StoreOptions::new(bench_dir("put-volatile"))
+        .budget_bytes(1 << 30)
+        .open()
+        .unwrap();
+    let output = payload();
+    // Fresh signatures per put: every sample is a first-time
+    // materialization, never an overwrite.
+    let mut next_sig = 1u64;
+    group.bench_function("volatile", |b| {
+        b.iter(|| {
+            next_sig += 1;
+            store.put(Signature(next_sig), &output).unwrap()
+        })
+    });
     group.finish();
 
-    // Reopen cost over a populated WAL directory. The first open compacts
-    // the log into the snapshot, so steady state (what the samples
-    // measure) is a snapshot load plus an empty-tail replay.
+    // Reopen cost over a populated store directory: one scan of its
+    // entry files.
     let mut group = c.benchmark_group("durability_recovery");
     group.sample_size(samples);
     let entries = if fast_mode() { 128u64 } else { 512 };
@@ -85,7 +74,6 @@ fn bench_durability(c: &mut Criterion) {
     {
         let store = StoreOptions::new(&dir)
             .budget_bytes(1 << 30)
-            .durability(Durability::wal_nosync())
             .open()
             .unwrap();
         let output = payload();
@@ -100,7 +88,6 @@ fn bench_durability(c: &mut Criterion) {
             b.iter(|| {
                 let store = StoreOptions::new(&dir)
                     .budget_bytes(1 << 30)
-                    .durability(Durability::wal_nosync())
                     .open()
                     .unwrap();
                 assert_eq!(store.len(), entries as usize);

@@ -9,13 +9,12 @@
 //! | Variable                | Meaning                                   |
 //! |-------------------------|-------------------------------------------|
 //! | `HELIX_PARALLELISM`     | Worker threads (≥ 1); default = cores     |
-//! | `HELIX_STORE_SHARDS`    | Store shard count (≥ 1); default = 16     |
 //! | `HELIX_PARTITION_ROWS`  | Rows per operator partition (≥ 1)         |
 //! | `HELIX_DURABILITY`      | `volatile` \| `wal` \| `wal-nosync`       |
 //! | `HELIX_REPLAN_FACTOR`   | Adaptive re-plan divergence factor (≥ 1)  |
 //! | `HELIX_DATA_CHUNK_ROWS` | Rows per data chunk (≥ 1); default = 512  |
 
-use crate::store::{Durability, DEFAULT_STORE_SHARDS};
+use crate::store::Durability;
 
 /// Parses an environment variable as a positive integer; `None` when
 /// unset, unparseable, or zero.
@@ -36,21 +35,15 @@ pub fn parallelism() -> usize {
     })
 }
 
-/// `HELIX_STORE_SHARDS`, defaulting to
-/// [`crate::store::DEFAULT_STORE_SHARDS`].
-pub fn store_shards() -> usize {
-    positive("HELIX_STORE_SHARDS").unwrap_or(DEFAULT_STORE_SHARDS)
-}
-
 /// `HELIX_PARTITION_ROWS`, defaulting to
 /// [`DEFAULT_PARTITION_ROWS`](crate::scheduler::DEFAULT_PARTITION_ROWS).
 pub fn partition_rows() -> usize {
     positive("HELIX_PARTITION_ROWS").unwrap_or(crate::scheduler::DEFAULT_PARTITION_ROWS)
 }
 
-/// `HELIX_DURABILITY` (`volatile` | `wal` | `wal-nosync`), defaulting to
-/// [`Durability::Volatile`]. An unrecognized value warns and falls back
-/// to volatile rather than refusing to start.
+/// `HELIX_DURABILITY` (`volatile` | `wal` | `wal-nosync`, the last two
+/// one tier), defaulting to [`Durability::Volatile`]. An unrecognized
+/// value warns and falls back to volatile rather than refusing to start.
 pub fn durability() -> Durability {
     match std::env::var("HELIX_DURABILITY") {
         Ok(value) => Durability::from_env_value(&value).unwrap_or_else(|| {
@@ -109,10 +102,10 @@ mod tests {
             Durability::from_env_value("volatile"),
             Some(Durability::Volatile)
         );
-        assert_eq!(Durability::from_env_value("WAL"), Some(Durability::wal()));
+        assert_eq!(Durability::from_env_value("WAL"), Some(Durability::Wal));
         assert_eq!(
             Durability::from_env_value("wal-nosync"),
-            Some(Durability::wal_nosync())
+            Some(Durability::Wal)
         );
         assert_eq!(Durability::from_env_value("bogus"), None);
     }

@@ -54,13 +54,6 @@ pub struct EngineConfig {
     /// Results and reports are identical at every setting — see
     /// [`crate::scheduler`].
     pub parallelism: usize,
-    /// Shards the intermediate store's entry maps are split across so the
-    /// executor's concurrent store traffic does not serialize on one
-    /// lock. The default comes from `HELIX_STORE_SHARDS` (falling back to
-    /// [`crate::store::DEFAULT_STORE_SHARDS`]); `1` reproduces the
-    /// historical single-lock store. Purely a concurrency knob — contents
-    /// and budget semantics are identical at every setting.
-    pub store_shards: usize,
     /// Rows-per-partition threshold for the scheduler's operator-level
     /// data parallelism: a partitionable node splits into row slices once
     /// its input holds at least twice this many rows. The default comes
@@ -69,11 +62,11 @@ pub struct EngineConfig {
     /// performance knob — outputs, reports, and errors are identical at
     /// every setting; see `docs/PERFORMANCE.md` for tuning guidance.
     pub partition_rows: usize,
-    /// Durability tier for the store and the engine's cross-run state
-    /// (cost model, version history, session records). The default comes
-    /// from `HELIX_DURABILITY` (falling back to
-    /// [`Durability::Volatile`]); under a WAL tier a reopened engine
-    /// resumes every session's lineage — see `docs/ARCHITECTURE.md`,
+    /// Durability tier for the engine's cross-run state (cost model,
+    /// version history, session records). The default comes from
+    /// `HELIX_DURABILITY` (falling back to [`Durability::Volatile`]);
+    /// under [`Durability::Wal`] a reopened engine resumes every
+    /// session's lineage — see `docs/ARCHITECTURE.md`,
     /// "Durability".
     pub durability: Durability,
     /// Divergence factor for the adaptive re-plan: when a node's
@@ -98,7 +91,6 @@ impl EngineConfig {
             materialization: MaterializationPolicyKind::HelixOnline,
             enable_slicing: true,
             parallelism: crate::config_env::parallelism(),
-            store_shards: crate::config_env::store_shards(),
             partition_rows: crate::config_env::partition_rows(),
             durability: crate::config_env::durability(),
             replan_factor: crate::config_env::replan_factor(),
@@ -114,12 +106,6 @@ impl EngineConfig {
     /// Sets the scheduler thread count (clamped to ≥ 1).
     pub fn with_parallelism(mut self, threads: usize) -> Self {
         self.parallelism = threads.max(1);
-        self
-    }
-
-    /// Sets the store shard count (clamped to ≥ 1).
-    pub fn with_store_shards(mut self, shards: usize) -> Self {
-        self.store_shards = shards.max(1);
         self
     }
 
@@ -208,12 +194,12 @@ impl Lineage {
 }
 
 /// What [`Engine::new`] recovered from a durable store directory: the
-/// store-level WAL replay outcome plus the engine-level state reloaded
-/// from the meta file. All zeros for volatile engines and fresh
+/// entries the store's open scan found plus the engine-level state
+/// reloaded from the meta file. All zeros for volatile engines and fresh
 /// directories.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineRecovery {
-    /// The store's WAL replay and verification counters.
+    /// The entries the store's open scan found.
     pub store: RecoveryInfo,
     /// Versions reloaded into the global history.
     pub recovered_versions: usize,
@@ -332,21 +318,16 @@ impl Engine {
     /// Opens an engine (and its store) under the configured directory.
     ///
     /// Under a durable [`EngineConfig::durability`] tier this is the
-    /// recovery path: the store replays its WAL, and the engine reloads
-    /// its cost-model observations and global version history from
+    /// recovery path: the store indexes its directory, and the engine
+    /// reloads its cost-model observations and global version history from
     /// `<store_dir>/meta/engine.json`. A corrupt meta file is warned
     /// about and ignored (fresh cost/version state) — open never refuses
     /// to start; see [`Engine::recovery`] for what was reloaded.
     pub fn new(config: EngineConfig) -> Result<Engine> {
         let store = StoreOptions::new(&config.store_dir)
             .budget_bytes(config.storage_budget_bytes)
-            .shards(config.store_shards)
-            .durability(config.durability)
             .open()?;
-        let mut recovery = EngineRecovery {
-            store: store.recovery(),
-            ..EngineRecovery::default()
-        };
+        let mut recovery = EngineRecovery::default();
         let mut cost_model = CostModel::new();
         let mut versions = VersionStore::new();
         let mut memo = MemoTable::new();
@@ -354,6 +335,9 @@ impl Engine {
         let mut replans_triggered = 0u64;
         let mut last_offline_unix = 0u64;
         if config.durability.is_durable() {
+            recovery.store = RecoveryInfo {
+                recovered_entries: store.len(),
+            };
             crate::persist::sweep_tmp(&crate::persist::meta_dir(&config.store_dir));
             crate::persist::sweep_tmp(&crate::persist::sessions_dir(&config.store_dir));
             let path = crate::persist::engine_meta_path(&config.store_dir);
@@ -393,31 +377,24 @@ impl Engine {
         })
     }
 
-    /// What this engine recovered when it opened: store WAL counters plus
-    /// reloaded version/cost state. All zeros for volatile engines.
+    /// What this engine recovered when it opened: the store entries found
+    /// plus reloaded version/cost state. All zeros for volatile engines.
     pub fn recovery(&self) -> EngineRecovery {
         self.recovery
     }
 
-    /// Forces a durability checkpoint now: compacts every store WAL shard
-    /// into a snapshot and atomically rewrites the engine meta file. A
-    /// no-op for volatile engines. (Runs also checkpoint the meta file
-    /// automatically after every recorded iteration; this entry point
-    /// exists for the server's `POST /admin/snapshot` and orderly
-    /// shutdowns.)
+    /// Forces a durability checkpoint now: atomically rewrites
+    /// `<store_dir>/meta/engine.json` with the current cost model,
+    /// version history, and optimizer memo. A no-op for volatile engines.
+    /// (Runs also checkpoint automatically after every recorded
+    /// iteration; this entry point exists for the server's
+    /// `POST /admin/snapshot` and orderly shutdowns.)
+    ///
+    /// # Errors
+    /// [`HelixError::Store`] if the meta file cannot be written.
     pub fn snapshot_now(&self) -> Result<()> {
-        self.store.snapshot_now()?;
-        self.persist_meta();
-        Ok(())
-    }
-
-    /// Atomically rewrites `<store_dir>/meta/engine.json` with the
-    /// current cost model and version history. Failures warn rather than
-    /// error: persistence must never fail a run that already committed
-    /// its results (the next successful checkpoint heals the file).
-    fn persist_meta(&self) {
         if !self.config.durability.is_durable() {
-            return;
+            return Ok(());
         }
         let _gate = lock(&self.persist_gate);
         let cost = lock(&self.cost_model).clone();
@@ -425,7 +402,7 @@ impl Engine {
         let memo = lock(&self.memo).clone();
         let pinned: Vec<Signature> = lock(&self.pinned).iter().map(|&s| Signature(s)).collect();
         let path = crate::persist::engine_meta_path(&self.config.store_dir);
-        if let Err(err) = crate::persist::save_engine_meta(
+        crate::persist::save_engine_meta(
             &path,
             &cost,
             &versions,
@@ -433,8 +410,16 @@ impl Engine {
             &pinned,
             self.replans_triggered.load(Ordering::Relaxed),
             self.last_offline_unix.load(Ordering::Relaxed),
-        ) {
-            eprintln!("helix: warning: failed to persist engine meta: {err}");
+        )
+        .map_err(|err| HelixError::Store(format!("engine meta checkpoint failed: {err}")))
+    }
+
+    /// [`Engine::snapshot_now`] after a run. Failures warn rather than
+    /// error: persistence must never fail a run that already committed
+    /// its results (the next successful checkpoint heals the file).
+    fn persist_meta(&self) {
+        if let Err(err) = self.snapshot_now() {
+            eprintln!("helix: warning: {err}");
         }
     }
 
@@ -820,7 +805,7 @@ impl Engine {
         lineage.previous = Some(snapshot(workflow, &plan.signatures));
         lineage.iteration += 1;
         // Checkpoint the engine-level durable state after the iteration
-        // is fully recorded (store entries already hit the WAL inside
+        // is fully recorded (store entries are already on disk after
         // `put`). Best-effort by design — see `persist_meta`.
         self.persist_meta();
         Ok(report)
@@ -1282,16 +1267,15 @@ mod tests {
     fn durable_engine_reloads_cost_versions_and_store() {
         let dir = tmpdir("durable-reload");
         std::fs::create_dir_all(&dir).unwrap();
-        let config =
-            || EngineConfig::helix(dir.join("store")).with_durability(Durability::wal_nosync());
+        let config = || EngineConfig::helix(dir.join("store")).with_durability(Durability::Wal);
         {
             let engine = Engine::new(config()).unwrap();
             assert_eq!(engine.recovery(), EngineRecovery::default());
             engine.run(&census_workflow(&dir, 0.1)).unwrap();
             assert!(engine.cost_model().observed_nodes() > 0);
             assert!(!engine.store().is_empty());
-        } // dropped without any orderly shutdown — the WAL and the
-          // post-run meta checkpoint are all that survives
+        } // dropped without any orderly shutdown — the entry files and
+          // the post-run meta checkpoint are all that survives
 
         let engine = Engine::new(config()).unwrap();
         let recovery = engine.recovery();
@@ -1316,8 +1300,7 @@ mod tests {
     fn corrupt_engine_meta_warns_and_starts_fresh() {
         let dir = tmpdir("durable-corrupt-meta");
         std::fs::create_dir_all(&dir).unwrap();
-        let config =
-            || EngineConfig::helix(dir.join("store")).with_durability(Durability::wal_nosync());
+        let config = || EngineConfig::helix(dir.join("store")).with_durability(Durability::Wal);
         {
             let engine = Engine::new(config()).unwrap();
             engine.run(&census_workflow(&dir, 0.1)).unwrap();
@@ -1357,10 +1340,9 @@ mod tests {
             "volatile snapshot_now is a no-op"
         );
 
-        let durable = Engine::new(
-            EngineConfig::helix(dir.join("s-wal")).with_durability(Durability::wal_nosync()),
-        )
-        .unwrap();
+        let durable =
+            Engine::new(EngineConfig::helix(dir.join("s-wal")).with_durability(Durability::Wal))
+                .unwrap();
         durable.snapshot_now().unwrap();
         assert!(crate::persist::engine_meta_path(&dir.join("s-wal")).exists());
     }
@@ -1452,7 +1434,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let config = || {
             EngineConfig::helix(dir.join("store"))
-                .with_durability(Durability::wal_nosync())
+                .with_durability(Durability::Wal)
                 .with_replan_factor(1.0)
         };
         let (entries, observations, pinned) = {

@@ -2,8 +2,8 @@
 //! state (cost model, global version history, session records) plus the
 //! atomic-replace file writer every snapshot goes through.
 //!
-//! The store's per-entry WAL lives in [`crate::store`]; this module covers
-//! everything *above* the store: what a restarted engine needs to resume
+//! The store's entries are indexed by their files alone
+//! ([`crate::store`]); this module covers everything *above* the store: what a restarted engine needs to resume
 //! every session's lineage. All files are single JSON documents written
 //! via temp-file + rename ([`write_atomic`]), so readers only ever observe
 //! a complete old or a complete new state — never a torn one. Parse

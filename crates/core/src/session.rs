@@ -1383,8 +1383,7 @@ mod tests {
     fn durable_engine(dir: &Path) -> Arc<Engine> {
         Arc::new(
             Engine::new(
-                EngineConfig::helix(dir.join("store"))
-                    .with_durability(crate::Durability::wal_nosync()),
+                EngineConfig::helix(dir.join("store")).with_durability(crate::Durability::Wal),
             )
             .unwrap(),
         )

@@ -20,34 +20,29 @@
 //! reserves its bytes with one compare-and-swap (performed while its
 //! shard lock pins the size of any entry it overwrites), so concurrent
 //! puts can never jointly overshoot the budget, and a failed write
-//! releases exactly its own reservation. The shard count comes from
-//! [`crate::EngineConfig::store_shards`] / `HELIX_STORE_SHARDS` (default
-//! [`DEFAULT_STORE_SHARDS`]); `1` reproduces the old single-lock store.
+//! releases exactly its own reservation. The shard count is
+//! [`DEFAULT_STORE_SHARDS`] unless [`StoreOptions::shards`] says
+//! otherwise; `1` reproduces the old single-lock store.
 //!
-//! # Durability
+//! # The directory is the index
 //!
-//! A store opened with [`Durability::Wal`] keeps a per-shard write-ahead
-//! log under `<dir>/wal/shard-<i>.wal`: one JSON-line record is appended
-//! (and optionally fsync'd) for every committed `put` and `evict`, and
-//! the log is compacted into a snapshot (a log holding exactly one `put`
-//! record per live entry) whenever it outgrows `compact_after_bytes`.
-//! Opening a durable store replays the log, **verifies every record
-//! against the files actually on disk** (missing file → entry dropped;
-//! size mismatch → repaired to the file's actual size; untracked `.hlx`
-//! file → adopted), truncates torn or corrupt tail records with a
-//! warning — the store never refuses to start — and finally writes a
-//! fresh snapshot. Because replay rebuilds the budget ledger from the
-//! deduplicated, disk-verified entry map, a crash at *any* point between
-//! a file write/rename and the matching log append can never double-count
-//! budget. See docs/ARCHITECTURE.md § Durability.
+//! The store keeps no index of its own on disk. [`StoreOptions::open`]
+//! sweeps leftover `*.tmp` files (puts killed before their rename) and
+//! builds the entry map and budget ledger from the `<sig>.hlx` files it
+//! finds, taking each entry's size from its file — the same scan for
+//! every [`Durability`] tier. Because entries are published by an atomic
+//! rename and removed before the ledger forgets them, a crash at any
+//! point leaves a directory whose scan is the store's exact state: the
+//! ledger can never double-count or resurrect an entry. A file that
+//! later fails to read or decode is dropped by [`IntermediateStore::get`]
+//! so the next plan recomputes it. See docs/ARCHITECTURE.md § Durability.
 
 use crate::ops::NodeOutput;
 use crate::signature::Signature;
 use crate::{HelixError, Result};
 use helix_dataflow::fx::FxHashMap;
-use helix_json::Json;
 use parking_lot::Mutex;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -56,69 +51,47 @@ use std::time::Instant;
 /// Process-wide counter for unique temp-file names (see [`IntermediateStore::put`]).
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// Default number of shards when `HELIX_STORE_SHARDS` is unset.
+/// Default number of store shards.
 pub const DEFAULT_STORE_SHARDS: usize = 16;
 
-/// How (and whether) the store and engine state survive a process crash.
+/// Whether the engine's cross-run state survives a process restart.
 ///
-/// The default is [`Durability::Volatile`] — identical behavior and put
-/// path to the store before the durable tier existed. Servers that must
-/// resume sessions across restarts opt into [`Durability::Wal`].
+/// The store itself behaves the same in both tiers (its directory is its
+/// only index); the tier decides whether the engine also persists its
+/// meta (cost model, version history, optimizer memo) and its session
+/// records. The default is [`Durability::Volatile`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Durability {
-    /// No write-ahead log. Entries still live on disk and a reopen
-    /// rescans the directory, but evictions, budget history, version
-    /// DAGs, and sessions do not survive the process.
+    /// Nothing beyond the store's files survives: a reopen still finds
+    /// every entry, but budget history, version DAGs, and sessions start
+    /// fresh.
     #[default]
     Volatile,
-    /// Per-shard write-ahead log plus engine/session snapshots.
-    Wal {
-        /// `fsync` each log record before `put`/`evict` returns. Turning
-        /// this off (`wal-nosync`) keeps crash *consistency* — replay
-        /// verifies against the files on disk — but a crash may lose the
-        /// most recent records' bookkeeping until the files are rescanned.
-        fsync: bool,
-        /// Compact a shard's log into a snapshot once it exceeds this
-        /// many bytes.
-        compact_after_bytes: u64,
-    },
+    /// Engine meta and session records are written through fsync'd
+    /// atomic replaces, so a reopened engine resumes every session's
+    /// lineage (`HELIX_DURABILITY=wal`).
+    Wal,
 }
 
 impl Durability {
-    /// Default log-compaction threshold for [`Durability::wal`].
-    pub const DEFAULT_COMPACT_AFTER_BYTES: u64 = 1 << 20;
-
-    /// Durable with fsync'd records — the safe default for serving.
-    pub fn wal() -> Self {
-        Durability::Wal {
-            fsync: true,
-            compact_after_bytes: Self::DEFAULT_COMPACT_AFTER_BYTES,
-        }
-    }
-
-    /// Durable log without per-record fsync: crash-consistent but the
-    /// tail may be lost on power failure. Useful when the fsync cost on
-    /// the put path matters (see docs/PERFORMANCE.md).
+    /// Alias of [`Durability::Wal`], the tier `HELIX_DURABILITY=wal-nosync`
+    /// also names. Kept because perfbench calls it.
     pub fn wal_nosync() -> Self {
-        Durability::Wal {
-            fsync: false,
-            compact_after_bytes: Self::DEFAULT_COMPACT_AFTER_BYTES,
-        }
+        Durability::Wal
     }
 
     /// Whether this mode persists state across restarts.
     pub fn is_durable(&self) -> bool {
-        matches!(self, Durability::Wal { .. })
+        matches!(self, Durability::Wal)
     }
 
     /// Parses the `HELIX_DURABILITY` environment value: `volatile`,
-    /// `wal`, or `wal-nosync` (case-insensitive). `None` for anything
-    /// else.
+    /// `wal`, or `wal-nosync` (case-insensitive; the last two name the
+    /// same tier). `None` for anything else.
     pub fn from_env_value(value: &str) -> Option<Durability> {
         match value.to_ascii_lowercase().as_str() {
             "volatile" => Some(Durability::Volatile),
-            "wal" => Some(Durability::wal()),
-            "wal-nosync" | "wal_nosync" => Some(Durability::wal_nosync()),
+            "wal" | "wal-nosync" | "wal_nosync" => Some(Durability::Wal),
             _ => None,
         }
     }
@@ -128,11 +101,10 @@ impl Durability {
 /// store.
 ///
 /// ```no_run
-/// use helix_core::{Durability, StoreOptions};
+/// use helix_core::StoreOptions;
 /// let store = StoreOptions::new("/tmp/helix-store")
 ///     .budget_bytes(1 << 30)
 ///     .shards(16)
-///     .durability(Durability::wal())
 ///     .open()
 ///     .unwrap();
 /// ```
@@ -141,19 +113,16 @@ pub struct StoreOptions {
     dir: PathBuf,
     budget_bytes: u64,
     shards: usize,
-    durability: Durability,
 }
 
 impl StoreOptions {
-    /// Options rooted at `dir` with an unlimited budget, the default
-    /// shard count ([`crate::config_env::store_shards`]), and
-    /// [`Durability::Volatile`].
+    /// Options rooted at `dir` with an unlimited budget and
+    /// [`DEFAULT_STORE_SHARDS`] shards.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         StoreOptions {
             dir: dir.into(),
             budget_bytes: u64::MAX,
-            shards: crate::config_env::store_shards(),
-            durability: Durability::default(),
+            shards: DEFAULT_STORE_SHARDS,
         }
     }
 
@@ -170,145 +139,60 @@ impl StoreOptions {
         self
     }
 
-    /// Sets the durability mode.
-    pub fn durability(mut self, durability: Durability) -> Self {
-        self.durability = durability;
-        self
-    }
-
-    /// Opens (or creates) the store. For durable options this replays
-    /// the WAL, verifies every replayed entry against the files on disk,
-    /// adopts untracked files, truncates torn tail records with a
-    /// warning, and writes a fresh snapshot — it never refuses to start
-    /// over a recoverable directory. Volatile stores scan the directory
-    /// so prior iterations' materializations stay visible.
+    /// Opens (or creates) the store: sweeps leftover `*.tmp` files and
+    /// indexes every `<sig>.hlx` file in the directory at its on-disk
+    /// size, so prior runs' materializations stay visible. Other files
+    /// and subdirectories are ignored.
     pub fn open(self) -> Result<IntermediateStore> {
         let StoreOptions {
             dir,
             budget_bytes,
             shards,
-            durability,
         } = self;
         std::fs::create_dir_all(&dir)?;
-        sweep_tmp_files(&dir)?;
-        let shard_count = shards.max(1);
-        let mut recovery = RecoveryInfo::default();
-        let mut map: FxHashMap<u64, u64> = FxHashMap::default();
-        let wal_dir = match durability {
-            Durability::Volatile => None,
-            Durability::Wal { .. } => {
-                let wal_dir = dir.join("wal");
-                std::fs::create_dir_all(&wal_dir)?;
-                sweep_tmp_files(&wal_dir)?;
-                let mut wal_files: Vec<PathBuf> = std::fs::read_dir(&wal_dir)?
-                    .filter_map(|e| e.ok().map(|e| e.path()))
-                    .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("wal"))
-                    .collect();
-                wal_files.sort();
-                for file in &wal_files {
-                    replay_wal_file(file, &mut map, &mut recovery)?;
-                }
-                // Verify every replayed record against the disk: the
-                // files are the ground truth, the log is the index.
-                let replayed: Vec<(u64, u64)> = map.drain().collect();
-                for (sig, logged_bytes) in replayed {
-                    match std::fs::metadata(dir.join(sig_file_name(sig))) {
-                        Ok(md) => {
-                            if md.len() != logged_bytes {
-                                recovery.repaired_sizes += 1;
-                                eprintln!(
-                                    "helix-store: WAL size for {sig:016x} was {logged_bytes}, \
-                                     file is {} bytes; using the file",
-                                    md.len()
-                                );
-                            }
-                            map.insert(sig, md.len());
-                        }
-                        Err(_) => {
-                            recovery.dropped_entries += 1;
-                            eprintln!("helix-store: dropping WAL entry {sig:016x}: file missing");
-                        }
-                    }
-                }
-                Some(wal_dir)
-            }
-        };
-        // Scan the directory: the volatile store's entire index, and the
-        // durable store's adoption pass for files the log missed.
+        let mut shard_maps: Vec<Shard> = (0..shards).map(|_| Shard::default()).collect();
+        let mut used = 0u64;
         for entry in std::fs::read_dir(&dir)? {
             let entry = entry?;
             let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("hlx") {
-                continue;
+            match path.extension().and_then(|e| e.to_str()) {
+                Some("tmp") => {
+                    let _ = std::fs::remove_file(&path);
+                    continue;
+                }
+                Some("hlx") => {}
+                _ => continue,
             }
-            let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
+            let Some(sig) = path
+                .file_stem()
+                .and_then(|s| s.to_str())
+                .and_then(|stem| u64::from_str_radix(stem, 16).ok())
+            else {
                 continue;
             };
-            let Ok(sig) = u64::from_str_radix(stem, 16) else {
-                continue;
-            };
-            if map.contains_key(&sig) {
-                continue;
-            }
-            map.insert(sig, entry.metadata()?.len());
-            if wal_dir.is_some() {
-                recovery.adopted_files += 1;
-            }
-        }
-        if wal_dir.is_some() {
-            recovery.recovered_entries = map.len();
-        }
-        let mut shard_maps: Vec<Shard> = (0..shard_count).map(|_| Shard::default()).collect();
-        let mut used = 0u64;
-        for (sig, bytes) in map {
-            shard_maps[shard_index(sig, shard_count)]
+            let bytes = entry.metadata()?.len();
+            shard_maps[shard_index(sig, shards)]
                 .entries
                 .insert(sig, EntryMeta { bytes });
             used += bytes;
         }
-        let store = IntermediateStore {
+        Ok(IntermediateStore {
             inner: Arc::new(StoreInner {
                 dir,
                 budget_bytes,
                 used_bytes: AtomicU64::new(used),
                 shards: shard_maps.into_iter().map(Mutex::new).collect(),
-                durability,
-                wal_dir,
-                last_snapshot_unix: AtomicU64::new(0),
-                recovery,
-                #[cfg(test)]
-                fail_skip_wal_append: std::sync::atomic::AtomicBool::new(false),
-                #[cfg(test)]
-                fail_skip_clear_compaction: std::sync::atomic::AtomicBool::new(false),
             }),
-        };
-        // A durable open ends with a fresh snapshot: stale log files from
-        // previous shard layouts are dropped and the WAL starts compact.
-        store.snapshot_now()?;
-        Ok(store)
+        })
     }
 }
 
-/// Counters describing what the WAL replay found when a durable store
-/// was opened. All zeros for [`Durability::Volatile`] stores.
+/// What a durable engine found in its store directory at open. All zeros
+/// for [`Durability::Volatile`] engines.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryInfo {
-    /// Entries live after replay, verification, and adoption.
+    /// Entries the open scan indexed.
     pub recovered_entries: usize,
-    /// `.hlx` files present on disk but absent from the log (e.g. written
-    /// before a crash beat the log append, or inherited from a volatile
-    /// store) that were adopted into the entry map.
-    pub adopted_files: usize,
-    /// Replayed entries dropped because their file no longer exists.
-    pub dropped_entries: usize,
-    /// Replayed entries whose logged size disagreed with the file on
-    /// disk; the ledger uses the file's actual size.
-    pub repaired_sizes: usize,
-    /// Torn or corrupt log records skipped under the truncate-and-warn
-    /// policy (the tail record after a mid-append crash lands here).
-    pub torn_records: usize,
-    /// Total WAL bytes read during replay.
-    pub wal_bytes_replayed: u64,
 }
 
 /// Metadata for one stored entry.
@@ -316,46 +200,6 @@ pub struct RecoveryInfo {
 pub struct EntryMeta {
     /// On-disk size in bytes.
     pub bytes: u64,
-}
-
-/// Append handle for one shard's write-ahead log.
-#[derive(Debug)]
-struct WalWriter {
-    file: std::fs::File,
-    path: PathBuf,
-    bytes: u64,
-    fsync: bool,
-}
-
-impl WalWriter {
-    fn open_append(path: PathBuf, fsync: bool) -> std::io::Result<WalWriter> {
-        let file = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)?;
-        let bytes = file.metadata()?.len();
-        Ok(WalWriter {
-            file,
-            path,
-            bytes,
-            fsync,
-        })
-    }
-
-    /// Appends one record (the trailing newline is added here) as a
-    /// single write, then flushes — and fsyncs when configured — before
-    /// returning.
-    fn append(&mut self, record: &str) -> std::io::Result<()> {
-        let mut buf = Vec::with_capacity(record.len() + 1);
-        buf.extend_from_slice(record.as_bytes());
-        buf.push(b'\n');
-        self.file.write_all(&buf)?;
-        if self.fsync {
-            self.file.sync_data()?;
-        }
-        self.bytes += buf.len() as u64;
-        Ok(())
-    }
 }
 
 /// One shard of the signature-keyed maps.
@@ -367,8 +211,6 @@ struct Shard {
     /// Invisible to readers and to `evict` — a reservation becomes an
     /// entry only once its file is fully written and renamed.
     reserved: FxHashMap<u64, u64>,
-    /// This shard's WAL append handle (durable stores only).
-    wal: Option<WalWriter>,
 }
 
 /// The shared state behind [`IntermediateStore`] handles.
@@ -380,20 +222,6 @@ struct StoreInner {
     /// (the budget ledger).
     used_bytes: AtomicU64,
     shards: Box<[Mutex<Shard>]>,
-    durability: Durability,
-    /// `<dir>/wal` when durable, `None` when volatile.
-    wal_dir: Option<PathBuf>,
-    /// Unix seconds of the most recent snapshot compaction (0 = never).
-    last_snapshot_unix: AtomicU64,
-    /// What replay found at open time.
-    recovery: RecoveryInfo,
-    /// Per-instance failpoints for crash-consistency regression tests:
-    /// simulate a kill between the file rename and the WAL append
-    /// (`put`), or between file removal and log compaction (`clear`).
-    #[cfg(test)]
-    fail_skip_wal_append: std::sync::atomic::AtomicBool,
-    #[cfg(test)]
-    fail_skip_clear_compaction: std::sync::atomic::AtomicBool,
 }
 
 /// On-disk store with budget accounting, sharded for concurrent access.
@@ -407,109 +235,8 @@ pub struct IntermediateStore {
     inner: Arc<StoreInner>,
 }
 
-fn unix_now() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0)
-}
-
 fn sig_file_name(sig: u64) -> String {
     format!("{sig:016x}.hlx")
-}
-
-fn wal_record_put(sig: u64, bytes: u64, secs: f64) -> String {
-    Json::obj([
-        ("v", Json::Num(1.0)),
-        ("op", Json::str("put")),
-        ("sig", Json::str(format!("{sig:016x}"))),
-        ("bytes", Json::Num(bytes as f64)),
-        ("secs", Json::Num(secs)),
-        ("file", Json::str(sig_file_name(sig))),
-    ])
-    .to_string()
-}
-
-fn wal_record_evict(sig: u64) -> String {
-    Json::obj([
-        ("v", Json::Num(1.0)),
-        ("op", Json::str("evict")),
-        ("sig", Json::str(format!("{sig:016x}"))),
-    ])
-    .to_string()
-}
-
-/// Removes leftover `*.tmp` files (half-written entry or snapshot temp
-/// files from a crashed process) from `dir`.
-fn sweep_tmp_files(dir: &Path) -> Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let path = entry?.path();
-        if path.extension().and_then(|e| e.to_str()) == Some("tmp") {
-            let _ = std::fs::remove_file(&path);
-        }
-    }
-    Ok(())
-}
-
-/// Replays one WAL file into `map` (last record per signature wins),
-/// applying the truncate-and-warn policy to torn or corrupt records.
-fn replay_wal_file(
-    path: &Path,
-    map: &mut FxHashMap<u64, u64>,
-    recovery: &mut RecoveryInfo,
-) -> Result<()> {
-    let data = std::fs::read(path)?;
-    recovery.wal_bytes_replayed += data.len() as u64;
-    let mut offset = 0usize;
-    while offset < data.len() {
-        let (line, next) = match data[offset..].iter().position(|&b| b == b'\n') {
-            Some(p) => (&data[offset..offset + p], offset + p + 1),
-            None => (&data[offset..], data.len()),
-        };
-        offset = next;
-        if line.is_empty() {
-            continue;
-        }
-        let record = std::str::from_utf8(line)
-            .ok()
-            .and_then(|text| Json::parse(text).ok());
-        let Some(record) = record else {
-            recovery.torn_records += 1;
-            eprintln!(
-                "helix-store: dropping torn/corrupt WAL record in {} (truncate-and-warn)",
-                path.display()
-            );
-            continue;
-        };
-        let sig = record
-            .get("sig")
-            .and_then(Json::as_str)
-            .and_then(|hex| u64::from_str_radix(hex, 16).ok());
-        match (record.get("op").and_then(Json::as_str), sig) {
-            (Some("put"), Some(sig)) => {
-                let Some(bytes) = record.get("bytes").and_then(Json::as_u64) else {
-                    recovery.torn_records += 1;
-                    eprintln!(
-                        "helix-store: put record without byte count in {}",
-                        path.display()
-                    );
-                    continue;
-                };
-                map.insert(sig, bytes);
-            }
-            (Some("evict"), Some(sig)) => {
-                map.remove(&sig);
-            }
-            _ => {
-                recovery.torn_records += 1;
-                eprintln!(
-                    "helix-store: skipping unrecognized WAL record in {}",
-                    path.display()
-                );
-            }
-        }
-    }
-    Ok(())
 }
 
 impl IntermediateStore {
@@ -528,31 +255,10 @@ impl IntermediateStore {
         &self.inner.dir
     }
 
-    /// The durability mode the store was opened with.
-    pub fn durability(&self) -> Durability {
-        self.inner.durability
-    }
-
-    /// What WAL replay found when this store was opened (all zeros for
-    /// volatile stores).
-    pub fn recovery(&self) -> RecoveryInfo {
-        self.inner.recovery
-    }
-
-    /// Current total size of the write-ahead logs in bytes (0 when
-    /// volatile).
+    /// Always 0: the store keeps no write-ahead log. Kept because
+    /// perfbench reports it as `persist.wal_bytes`.
     pub fn wal_bytes(&self) -> u64 {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.lock().wal.as_ref().map_or(0, |w| w.bytes))
-            .sum()
-    }
-
-    /// Unix seconds of the most recent snapshot compaction; 0 if never
-    /// (volatile stores stay 0).
-    pub fn last_snapshot_unix(&self) -> u64 {
-        self.inner.last_snapshot_unix.load(Ordering::Acquire)
+        0
     }
 
     /// Bytes currently used (entries plus in-flight reservations).
@@ -584,118 +290,12 @@ impl IntermediateStore {
         self.shard(sig).lock().entries.get(&sig.0).copied()
     }
 
-    fn shard_slot(&self, sig: Signature) -> usize {
-        shard_index(sig.0, self.inner.shards.len())
-    }
-
     fn shard(&self, sig: Signature) -> &Mutex<Shard> {
-        &self.inner.shards[self.shard_slot(sig)]
+        &self.inner.shards[shard_index(sig.0, self.inner.shards.len())]
     }
 
     fn path_for(&self, sig: Signature) -> PathBuf {
         self.inner.dir.join(sig_file_name(sig.0))
-    }
-
-    /// Rewrites shard `idx`'s WAL as a snapshot — exactly one `put`
-    /// record per live entry — via temp file + rename, then reopens the
-    /// append handle. Must be called with the shard's lock held.
-    fn compact_shard_locked(&self, idx: usize, shard: &mut Shard) -> Result<()> {
-        let Some(wal_dir) = &self.inner.wal_dir else {
-            return Ok(());
-        };
-        let fsync = matches!(self.inner.durability, Durability::Wal { fsync: true, .. });
-        let path = wal_dir.join(format!("shard-{idx}.wal"));
-        let token = TMP_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let tmp = wal_dir.join(format!("shard-{idx}.wal.{token}.tmp"));
-        let mut text = String::new();
-        for (&sig, meta) in &shard.entries {
-            text.push_str(&wal_record_put(sig, meta.bytes, 0.0));
-            text.push('\n');
-        }
-        let written = (|| -> Result<()> {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(text.as_bytes())?;
-            file.flush()?;
-            if fsync {
-                file.sync_data()?;
-            }
-            Ok(())
-        })();
-        if let Err(err) = written.and_then(|()| Ok(std::fs::rename(&tmp, &path)?)) {
-            let _ = std::fs::remove_file(&tmp);
-            return Err(err);
-        }
-        shard.wal = Some(WalWriter::open_append(path, fsync)?);
-        self.inner
-            .last_snapshot_unix
-            .store(unix_now(), Ordering::Release);
-        Ok(())
-    }
-
-    /// Compacts every shard's WAL into a snapshot now and removes log
-    /// files left over from older shard layouts. A no-op `Ok(())` for
-    /// volatile stores. (`POST /admin/snapshot` lands here.)
-    pub fn snapshot_now(&self) -> Result<()> {
-        let Some(wal_dir) = &self.inner.wal_dir else {
-            return Ok(());
-        };
-        for (idx, slot) in self.inner.shards.iter().enumerate() {
-            let mut shard = slot.lock();
-            self.compact_shard_locked(idx, &mut shard)?;
-        }
-        // Stale files (e.g. `shard-7.wal` after reopening with 4 shards)
-        // are only removed after every live shard has a fresh snapshot:
-        // a crash in between leaves extra logs whose records deduplicate
-        // harmlessly on the next replay.
-        let live: Vec<String> = (0..self.inner.shards.len())
-            .map(|i| format!("shard-{i}.wal"))
-            .collect();
-        for entry in std::fs::read_dir(wal_dir)? {
-            let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("wal") {
-                continue;
-            }
-            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if !live.iter().any(|l| l == name) {
-                let _ = std::fs::remove_file(&path);
-            }
-        }
-        Ok(())
-    }
-
-    /// Appends a WAL record for the shard, warning instead of failing:
-    /// the entry map and the files on disk are already consistent, and
-    /// replay verification self-heals a lost record (the file is the
-    /// ground truth), so a log write error must not fail the operation.
-    fn wal_append_locked(&self, idx: usize, shard: &mut Shard, record: &str) {
-        let Durability::Wal {
-            compact_after_bytes,
-            ..
-        } = self.inner.durability
-        else {
-            return;
-        };
-        match shard.wal.as_mut() {
-            Some(wal) => {
-                if let Err(err) = wal.append(record) {
-                    eprintln!(
-                        "helix-store: WAL append failed on {}: {err} (entry is on disk; \
-                         replay will adopt it)",
-                        wal.path.display()
-                    );
-                }
-            }
-            None => eprintln!("helix-store: WAL writer missing for shard {idx}"),
-        }
-        if shard
-            .wal
-            .as_ref()
-            .is_some_and(|w| w.bytes > compact_after_bytes)
-        {
-            if let Err(err) = self.compact_shard_locked(idx, shard) {
-                eprintln!("helix-store: WAL compaction failed for shard {idx}: {err}");
-            }
-        }
     }
 
     /// Writes an output under `sig`, enforcing the budget.
@@ -715,12 +315,6 @@ impl IntermediateStore {
     /// An overwrite conservatively holds both the old entry's bytes and
     /// the new reservation until the rename lands (the old file stays
     /// readable throughout).
-    ///
-    /// On a durable store, a WAL record is appended (and fsync'd when
-    /// configured) after the rename commits, while the shard lock is
-    /// still held. A crash between the rename and the append loses only
-    /// the record — replay's adoption pass recovers the entry from the
-    /// file itself.
     ///
     /// # Errors
     /// [`HelixError::Store`] if the entry would exceed the budget.
@@ -774,8 +368,7 @@ impl IntermediateStore {
             file.flush()?;
             Ok(())
         })();
-        let idx = self.shard_slot(sig);
-        let mut shard = self.inner.shards[idx].lock();
+        let mut shard = self.shard(sig).lock();
         shard.reserved.remove(&sig.0);
         // The rename happens under the shard lock (a cheap metadata op)
         // so an `evict` of a replaced entry can never delete the fresh
@@ -797,25 +390,20 @@ impl IntermediateStore {
                 .used_bytes
                 .fetch_sub(meta.bytes, Ordering::AcqRel);
         }
-        let secs = started.elapsed().as_secs_f64();
-        #[cfg(test)]
-        if self
-            .inner
-            .fail_skip_wal_append
-            .load(std::sync::atomic::Ordering::Relaxed)
-        {
-            return Ok((size, secs));
-        }
-        self.wal_append_locked(idx, &mut shard, &wal_record_put(sig.0, size, secs));
-        Ok((size, secs))
+        Ok((size, started.elapsed().as_secs_f64()))
     }
 
     /// Reads the output stored under `sig`.
     ///
     /// Returns `(output, bytes_read, seconds)`.
     ///
+    /// An entry whose file cannot be read or decoded (torn by a crash,
+    /// truncated or removed behind the store's back) is evicted before
+    /// the error returns, so it is offered to no later plan: the next
+    /// compile recomputes the node instead of failing on it again.
+    ///
     /// # Errors
-    /// [`HelixError::Store`] if the entry is missing or corrupt.
+    /// [`HelixError::Store`] if the entry is missing or unreadable.
     pub fn get(&self, sig: Signature) -> Result<(NodeOutput, u64, f64)> {
         if self.lookup(sig).is_none() {
             return Err(HelixError::Store(format!(
@@ -824,12 +412,21 @@ impl IntermediateStore {
             )));
         }
         let started = Instant::now();
-        let mut bytes = Vec::new();
-        let mut file = std::io::BufReader::new(std::fs::File::open(self.path_for(sig))?);
-        file.read_to_end(&mut bytes)?;
-        let output = NodeOutput::decode(&bytes)?;
-        let secs = started.elapsed().as_secs_f64();
-        Ok((output, bytes.len() as u64, secs))
+        let read = std::fs::read(self.path_for(sig))
+            .map_err(HelixError::from)
+            .and_then(|bytes| Ok((NodeOutput::decode(&bytes)?, bytes.len() as u64)));
+        match read {
+            Ok((output, len)) => Ok((output, len, started.elapsed().as_secs_f64())),
+            Err(err) => {
+                // A failed removal keeps the entry, which still matches
+                // the disk; the next `get` tries again.
+                let _ = self.evict(sig);
+                Err(HelixError::Store(format!(
+                    "entry {} is unreadable: {err}",
+                    sig.hex()
+                )))
+            }
+        }
     }
 
     /// Deletes the entry for `sig` if present, freeing budget.
@@ -840,13 +437,9 @@ impl IntermediateStore {
     /// if the removal fails, the entry stays in the map and the ledger
     /// keeps its bytes, so the store's view still matches the disk (a
     /// reopen rescan would find the surviving file). An already-missing
-    /// file (`NotFound`) counts as removed. On a durable store an evict
-    /// record is appended after the bookkeeping; a crash before the
-    /// append is harmless because replay drops entries whose file is
-    /// gone.
+    /// file (`NotFound`) counts as removed.
     pub fn evict(&self, sig: Signature) -> Result<bool> {
-        let idx = self.shard_slot(sig);
-        let mut shard = self.inner.shards[idx].lock();
+        let mut shard = self.shard(sig).lock();
         let Some(meta) = shard.entries.get(&sig.0).copied() else {
             return Ok(false);
         };
@@ -859,7 +452,6 @@ impl IntermediateStore {
         self.inner
             .used_bytes
             .fetch_sub(meta.bytes, Ordering::AcqRel);
-        self.wal_append_locked(idx, &mut shard, &wal_record_evict(sig.0));
         Ok(true)
     }
 
@@ -877,37 +469,17 @@ impl IntermediateStore {
     /// Deletes everything (used between benchmark scenarios). In-flight
     /// `put` reservations keep their budget share so a concurrent put
     /// completing after the clear stays correctly accounted.
-    ///
-    /// On a durable store each shard's WAL is compacted to an empty
-    /// snapshot after its files are removed; a crash in between leaves
-    /// stale put records whose files are gone, which replay verification
-    /// drops (never double-counts).
     pub fn clear(&self) -> Result<()> {
         // Hold every shard lock at once so the ledger reset sees a
         // consistent picture (locks are acquired in index order, and no
         // other path holds two shard locks, so this cannot deadlock).
         let mut guards: Vec<_> = self.inner.shards.iter().map(|s| s.lock()).collect();
         let mut reserved = 0u64;
-        for (idx, guard) in guards.iter_mut().enumerate() {
-            let sigs: Vec<u64> = guard.entries.keys().copied().collect();
-            for sig in sigs {
-                guard.entries.remove(&sig);
+        for guard in guards.iter_mut() {
+            for (sig, _) in guard.entries.drain() {
                 let _ = std::fs::remove_file(self.inner.dir.join(sig_file_name(sig)));
             }
             reserved += guard.reserved.values().sum::<u64>();
-            #[cfg(test)]
-            if self
-                .inner
-                .fail_skip_clear_compaction
-                .load(std::sync::atomic::Ordering::Relaxed)
-            {
-                continue;
-            }
-            if self.inner.wal_dir.is_some() {
-                if let Err(err) = self.compact_shard_locked(idx, guard) {
-                    eprintln!("helix-store: WAL compaction after clear failed: {err}");
-                }
-            }
         }
         self.inner.used_bytes.store(reserved, Ordering::Release);
         Ok(())
@@ -938,14 +510,6 @@ mod tests {
 
     fn open_store(dir: impl Into<PathBuf>, budget: u64) -> IntermediateStore {
         StoreOptions::new(dir).budget_bytes(budget).open().unwrap()
-    }
-
-    fn open_wal_store(dir: impl Into<PathBuf>, budget: u64) -> IntermediateStore {
-        StoreOptions::new(dir)
-            .budget_bytes(budget)
-            .durability(Durability::wal())
-            .open()
-            .unwrap()
     }
 
     fn sample_output(n: i64) -> NodeOutput {
@@ -998,13 +562,78 @@ mod tests {
         let dir = tmpdir("reopen");
         {
             let store = open_store(&dir, 1 << 20);
-            store.put(Signature(3), &sample_output(10)).unwrap();
+            for i in 1..=3 {
+                store.put(Signature(i), &sample_output(10)).unwrap();
+            }
+        }
+        // A put killed before its rename leaves only its temp file.
+        std::fs::write(dir.join("0000000000000009.7.tmp"), b"half-written").unwrap();
+        // A file removed behind the store's back.
+        std::fs::remove_file(dir.join(sig_file_name(2))).unwrap();
+
+        let store = open_store(&dir, 1 << 20);
+        assert_eq!(store.len(), 2);
+        assert_matches_disk(&store);
+        assert!(
+            store.lookup(Signature(2)).is_none(),
+            "removed file is dropped"
+        );
+        assert!(
+            !dir.join("0000000000000009.7.tmp").exists(),
+            "stray temp file is swept"
+        );
+        assert_eq!(store.get(Signature(1)).unwrap().0, sample_output(10));
+        assert_eq!(store.get(Signature(3)).unwrap().0, sample_output(10));
+    }
+
+    #[test]
+    fn crash_between_rename_and_wal_append_cannot_double_count() {
+        // A put killed right after its rename leaves the new file and no
+        // other record of it; the reopen scan must count it exactly once.
+        let dir = tmpdir("crash-put");
+        {
+            let store = open_store(&dir, 1 << 20);
+            store.put(Signature(1), &sample_output(30)).unwrap();
+        }
+        // An overwrite with a different size: only the new file counts.
+        std::fs::write(dir.join(sig_file_name(1)), sample_output(90).encode()).unwrap();
+        // An entry file the ledger never recorded.
+        std::fs::write(dir.join(sig_file_name(2)), sample_output(20).encode()).unwrap();
+
+        let store = open_store(&dir, 1 << 20);
+        assert_eq!(store.len(), 2);
+        assert_matches_disk(&store);
+        assert_eq!(store.get(Signature(1)).unwrap().0, sample_output(90));
+        assert_eq!(store.get(Signature(2)).unwrap().0, sample_output(20));
+    }
+
+    #[test]
+    fn crash_during_clear_cannot_resurrect_entries() {
+        let dir = tmpdir("crash-clear");
+        {
+            let store = open_store(&dir, 1 << 20);
+            for i in 1..=5 {
+                store.put(Signature(i), &sample_output(10)).unwrap();
+            }
+        }
+        // A clear killed after removing three of the five files.
+        for i in 1..=3 {
+            std::fs::remove_file(dir.join(sig_file_name(i))).unwrap();
         }
         let store = open_store(&dir, 1 << 20);
-        assert_eq!(store.len(), 1);
-        let (out, ..) = store.get(Signature(3)).unwrap();
-        assert_eq!(out, sample_output(10));
-        assert!(store.used_bytes() > 0);
+        assert_eq!(store.len(), 2, "removed entries must not resurrect");
+        assert_matches_disk(&store);
+        for i in 1..=3 {
+            assert!(store.lookup(Signature(i)).is_none());
+        }
+
+        // A completed clear reopens empty.
+        store.clear().unwrap();
+        drop(store);
+        let store = open_store(&dir, 1 << 20);
+        assert!(store.is_empty());
+        assert_eq!(store.used_bytes(), 0);
+        assert_matches_disk(&store);
     }
 
     #[test]
@@ -1088,6 +717,33 @@ mod tests {
     }
 
     #[test]
+    fn unreadable_entry_is_dropped_on_get() {
+        let store = open_store(tmpdir("unreadable"), 1 << 20);
+        store.put(Signature(4), &sample_output(50)).unwrap();
+        store.put(Signature(5), &sample_output(50)).unwrap();
+        // A torn file: the entry's bytes cut in half.
+        let path = store.path_for(Signature(4));
+        let len = std::fs::metadata(&path).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_len(len / 2)
+            .unwrap();
+        let err = store.get(Signature(4)).unwrap_err();
+        assert!(matches!(err, HelixError::Store(_)), "got: {err}");
+        assert!(store.lookup(Signature(4)).is_none(), "torn entry dropped");
+        assert!(!path.exists(), "torn file removed");
+        assert_matches_disk(&store);
+        // A vanished file is dropped the same way.
+        std::fs::remove_file(store.path_for(Signature(5))).unwrap();
+        let err = store.get(Signature(5)).unwrap_err();
+        assert!(matches!(err, HelixError::Store(_)), "got: {err}");
+        assert!(store.is_empty());
+        assert_eq!(store.used_bytes(), 0);
+    }
+
+    #[test]
     fn signatures_lists_live_entries() {
         let store = open_store(tmpdir("sigs"), 1 << 20);
         for i in 1..=5 {
@@ -1130,9 +786,8 @@ mod tests {
         );
     }
 
-    /// The ledger of a reopened durable store must equal the bytes of the
-    /// `.hlx` files actually in the directory — the acceptance check for
-    /// "replay can never double-count budget".
+    /// The ledger must equal the bytes of the `.hlx` files actually in
+    /// the directory: a reopen can neither double-count nor resurrect.
     fn assert_matches_disk(store: &IntermediateStore) {
         let on_disk: u64 = std::fs::read_dir(store.dir())
             .unwrap()
@@ -1188,9 +843,8 @@ mod tests {
     fn puts_racing_eviction_never_corrupt_entries() {
         // Writers repeatedly put distinct signatures while an evictor
         // tears entries down; afterwards every surviving entry must decode
-        // to exactly what its writer stored. Run durable so the WAL
-        // append path is exercised under the same contention.
-        let store = open_wal_store(tmpdir("race-evict"), 1 << 22);
+        // to exactly what its writer stored.
+        let store = open_store(tmpdir("race-evict"), 1 << 22);
         let per_writer = 24i64;
         let writers = 4i64;
         crossbeam::scope(|scope| {
@@ -1281,265 +935,5 @@ mod tests {
             }
             assert!(hit.iter().all(|&h| h), "{shards} shards all reachable");
         }
-    }
-
-    // ------------------------------------------------------------------
-    // Durable tier
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn wal_reopen_restores_entries_and_ledger() {
-        let dir = tmpdir("wal-reopen");
-        let used;
-        {
-            let store = open_wal_store(&dir, 1 << 20);
-            for i in 1..=6 {
-                store
-                    .put(Signature(i), &sample_output(10 + i as i64))
-                    .unwrap();
-            }
-            store.evict(Signature(4)).unwrap();
-            used = store.used_bytes();
-            assert!(store.wal_bytes() > 0);
-            assert!(store.last_snapshot_unix() > 0);
-        }
-        let store = open_wal_store(&dir, 1 << 20);
-        assert_eq!(store.len(), 5);
-        assert_eq!(store.used_bytes(), used);
-        assert_eq!(store.recovery().recovered_entries, 5);
-        assert_eq!(store.recovery().dropped_entries, 0);
-        assert_eq!(store.recovery().torn_records, 0);
-        assert_matches_disk(&store);
-        for i in [1u64, 2, 3, 5, 6] {
-            assert_eq!(
-                store.get(Signature(i)).unwrap().0,
-                sample_output(10 + i as i64)
-            );
-        }
-        assert!(store.lookup(Signature(4)).is_none(), "evict must replay");
-    }
-
-    #[test]
-    fn wal_replay_drops_entries_whose_file_is_missing() {
-        let dir = tmpdir("wal-drop");
-        {
-            let store = open_wal_store(&dir, 1 << 20);
-            for i in 1..=3 {
-                store.put(Signature(i), &sample_output(10)).unwrap();
-            }
-        }
-        // Simulate a crash window: the file is gone but its log records
-        // survive (an evict whose record append never landed).
-        std::fs::remove_file(dir.join(sig_file_name(2))).unwrap();
-        let store = open_wal_store(&dir, 1 << 20);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.recovery().dropped_entries, 1);
-        assert_matches_disk(&store);
-    }
-
-    #[test]
-    fn wal_replay_repairs_size_mismatches_from_disk() {
-        let dir = tmpdir("wal-repair");
-        {
-            let store = open_wal_store(&dir, 1 << 20);
-            store.put(Signature(8), &sample_output(50)).unwrap();
-        }
-        // The file changed size behind the log's back — the file wins.
-        std::fs::write(dir.join(sig_file_name(8)), b"short").unwrap();
-        let store = open_wal_store(&dir, 1 << 20);
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.recovery().repaired_sizes, 1);
-        assert_eq!(store.used_bytes(), 5);
-        assert_matches_disk(&store);
-    }
-
-    #[test]
-    fn wal_open_adopts_files_from_a_volatile_store() {
-        let dir = tmpdir("wal-adopt");
-        {
-            let store = open_store(&dir, 1 << 20);
-            for i in 1..=4 {
-                store.put(Signature(i), &sample_output(10)).unwrap();
-            }
-        }
-        let store = open_wal_store(&dir, 1 << 20);
-        assert_eq!(store.len(), 4);
-        assert_eq!(store.recovery().adopted_files, 4);
-        assert_eq!(store.recovery().recovered_entries, 4);
-        assert_matches_disk(&store);
-        // The adoption is now snapshotted: a second reopen replays it
-        // from the log instead.
-        drop(store);
-        let store = open_wal_store(&dir, 1 << 20);
-        assert_eq!(store.recovery().adopted_files, 0);
-        assert_eq!(store.recovery().recovered_entries, 4);
-    }
-
-    #[test]
-    fn torn_wal_tail_is_truncated_with_a_warning() {
-        let dir = tmpdir("wal-torn");
-        {
-            let store = StoreOptions::new(&dir)
-                .budget_bytes(1 << 20)
-                .shards(1)
-                .durability(Durability::wal())
-                .open()
-                .unwrap();
-            for i in 1..=3 {
-                store.put(Signature(i), &sample_output(10)).unwrap();
-            }
-        }
-        // Append a torn record (no closing brace, no newline) as a crash
-        // mid-append would leave.
-        let wal = dir.join("wal").join("shard-0.wal");
-        let mut file = std::fs::OpenOptions::new().append(true).open(&wal).unwrap();
-        file.write_all(b"{\"v\":1,\"op\":\"put\",\"sig\":\"00000000000000ff\",\"byt")
-            .unwrap();
-        drop(file);
-        let store = StoreOptions::new(&dir)
-            .budget_bytes(1 << 20)
-            .shards(1)
-            .durability(Durability::wal())
-            .open()
-            .unwrap();
-        assert_eq!(store.len(), 3, "torn tail must not lose committed entries");
-        assert_eq!(store.recovery().torn_records, 1);
-        assert_matches_disk(&store);
-        // Open rewrote the snapshot, so the torn record is gone for good.
-        drop(store);
-        let store = StoreOptions::new(&dir)
-            .budget_bytes(1 << 20)
-            .shards(1)
-            .durability(Durability::wal())
-            .open()
-            .unwrap();
-        assert_eq!(store.recovery().torn_records, 0);
-    }
-
-    #[test]
-    fn crash_between_rename_and_wal_append_cannot_double_count() {
-        // Failpoint: the put's file rename lands but the WAL record is
-        // never appended — the window the ISSUE's bugfix audit names.
-        let dir = tmpdir("wal-fp-put");
-        {
-            let store = open_wal_store(&dir, 1 << 20);
-            store.put(Signature(1), &sample_output(30)).unwrap();
-            store
-                .inner
-                .fail_skip_wal_append
-                .store(true, std::sync::atomic::Ordering::Relaxed);
-            // An overwrite whose new size differs: the log still holds
-            // the OLD size for sig 1, the disk holds the new file.
-            store.put(Signature(1), &sample_output(90)).unwrap();
-            // And a brand-new entry with no log record at all.
-            store.put(Signature(2), &sample_output(20)).unwrap();
-        }
-        let store = open_wal_store(&dir, 1 << 20);
-        assert_eq!(store.len(), 2);
-        // sig 1's stale logged size was repaired from disk; sig 2 was
-        // adopted from its file. Either way the ledger equals the disk —
-        // counted once, not twice.
-        assert_eq!(store.recovery().repaired_sizes, 1);
-        assert_eq!(store.recovery().adopted_files, 1);
-        assert_matches_disk(&store);
-    }
-
-    #[test]
-    fn crash_during_clear_cannot_resurrect_entries() {
-        // Failpoint: clear removes the files but dies before compacting
-        // the WAL, leaving stale put records for deleted files.
-        let dir = tmpdir("wal-fp-clear");
-        {
-            let store = open_wal_store(&dir, 1 << 20);
-            for i in 1..=5 {
-                store.put(Signature(i), &sample_output(10)).unwrap();
-            }
-            store
-                .inner
-                .fail_skip_clear_compaction
-                .store(true, std::sync::atomic::Ordering::Relaxed);
-            store.clear().unwrap();
-        }
-        let store = open_wal_store(&dir, 1 << 20);
-        assert_eq!(store.len(), 0, "stale put records must not resurrect");
-        assert_eq!(store.used_bytes(), 0);
-        assert_eq!(store.recovery().dropped_entries, 5);
-        assert_matches_disk(&store);
-    }
-
-    #[test]
-    fn wal_compaction_caps_log_size() {
-        let dir = tmpdir("wal-compact");
-        let store = StoreOptions::new(&dir)
-            .budget_bytes(1 << 22)
-            .shards(1)
-            .durability(Durability::Wal {
-                fsync: false,
-                compact_after_bytes: 512,
-            })
-            .open()
-            .unwrap();
-        for round in 0..40u64 {
-            store
-                .put(Signature(round % 4 + 1), &sample_output(20))
-                .unwrap();
-        }
-        // 40 puts × ~100 bytes per record would be ~4 KiB of log; the
-        // 512-byte threshold keeps it at snapshot size (4 live entries).
-        assert!(
-            store.wal_bytes() < 1024,
-            "log should have compacted: {} bytes",
-            store.wal_bytes()
-        );
-        assert!(store.last_snapshot_unix() > 0);
-        drop(store);
-        let store = open_wal_store(&dir, 1 << 22);
-        assert_eq!(store.len(), 4);
-        assert_matches_disk(&store);
-    }
-
-    #[test]
-    fn snapshot_now_is_a_noop_for_volatile_stores() {
-        let store = open_store(tmpdir("vol-snap"), 1 << 20);
-        store.put(Signature(1), &sample_output(5)).unwrap();
-        store.snapshot_now().unwrap();
-        assert_eq!(store.wal_bytes(), 0);
-        assert_eq!(store.last_snapshot_unix(), 0);
-        assert_eq!(store.recovery(), RecoveryInfo::default());
-    }
-
-    #[test]
-    fn wal_reopen_across_shard_counts_drops_stale_logs() {
-        let dir = tmpdir("wal-reshard");
-        {
-            let store = StoreOptions::new(&dir)
-                .budget_bytes(1 << 20)
-                .shards(8)
-                .durability(Durability::wal())
-                .open()
-                .unwrap();
-            for i in 1..=10 {
-                store.put(Signature(i), &sample_output(10)).unwrap();
-            }
-        }
-        let store = StoreOptions::new(&dir)
-            .budget_bytes(1 << 20)
-            .shards(2)
-            .durability(Durability::wal())
-            .open()
-            .unwrap();
-        assert_eq!(store.len(), 10);
-        assert_matches_disk(&store);
-        let wal_files: Vec<String> = std::fs::read_dir(dir.join("wal"))
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.ends_with(".wal"))
-            .collect();
-        assert_eq!(
-            wal_files.len(),
-            2,
-            "stale shard logs removed: {wal_files:?}"
-        );
     }
 }

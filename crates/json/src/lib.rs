@@ -1,6 +1,6 @@
 //! Minimal JSON values, parser, and writer — shared by the HTTP wire
 //! format (`helix-server`), the durable persistence layer in
-//! `helix-core` (WAL records, version-DAG and session snapshots), and
+//! `helix-core` (engine meta, version-DAG and session snapshots), and
 //! the `bench_guard` results gate.
 //!
 //! The offline build environment has no serde, so this crate hand-rolls
@@ -8,7 +8,7 @@
 //! proper string escaping, a recursion-depth limit, and order-preserving
 //! objects. Numbers are `f64`, like JavaScript's — protocol integers
 //! (iteration counts, byte sizes, nanosecond timings) stay exact up to
-//! 2^53, far beyond anything the wire or the WAL carries.
+//! 2^53, far beyond anything the wire or the meta files carry.
 
 use std::fmt;
 

@@ -467,11 +467,10 @@ impl Api {
         })
     }
 
-    /// `GET /stats` (schema `"v": 3`): serving counters, the live
+    /// `GET /stats` (schema `"v": 4`): serving counters, the live
     /// session count, the durability counters — sessions and store
-    /// entries recovered at startup, current WAL size, and the unix time
-    /// of the last snapshot compaction (all zero on a volatile engine) —
-    /// and the optimizer counters: memo size, observations recorded,
+    /// entries recovered at startup (zero on a volatile engine) — and
+    /// the optimizer counters: memo size, observations recorded,
     /// adaptive re-plans triggered, and the unix time of the last
     /// offline optimization pass. An API never attached to a socket
     /// server reports zeroed serving counters.
@@ -485,7 +484,7 @@ impl Api {
         let recovery = engine.recovery();
         let optimizer = engine.optimizer_stats();
         ok(Json::obj([
-            ("v", Json::Num(3.0)),
+            ("v", Json::Num(4.0)),
             ("connections", Json::Num(snap.connections as f64)),
             ("requests", Json::Num(snap.requests as f64)),
             ("shed", Json::Num(snap.shed as f64)),
@@ -499,11 +498,6 @@ impl Api {
             (
                 "recovered_entries",
                 Json::Num(recovery.store.recovered_entries as f64),
-            ),
-            ("wal_bytes", Json::Num(engine.store().wal_bytes() as f64)),
-            (
-                "last_snapshot",
-                Json::Num(engine.store().last_snapshot_unix() as f64),
             ),
             ("memo_entries", Json::Num(optimizer.memo_entries as f64)),
             (
@@ -541,13 +535,12 @@ impl Api {
         }
     }
 
-    /// `POST /admin/snapshot`: forces a durability checkpoint — compacts
-    /// every store shard's WAL into its snapshot, rewrites the engine
-    /// meta, and re-persists every live session record. 400 on a
+    /// `POST /admin/snapshot`: forces a durability checkpoint — rewrites
+    /// the engine meta and re-persists every live session record. 400 on a
     /// volatile engine, where there is nothing to checkpoint.
     fn admin_snapshot(&self) -> Response {
         let engine = self.manager.engine();
-        if !engine.store().durability().is_durable() {
+        if !engine.config().durability.is_durable() {
             return error_body(
                 400,
                 "store is volatile; nothing to snapshot (set HELIX_DURABILITY=wal)",
@@ -557,14 +550,7 @@ impl Api {
             return engine_error(err);
         }
         self.manager.persist_all();
-        ok(Json::obj([
-            ("snapshotted", Json::Bool(true)),
-            ("wal_bytes", Json::Num(engine.store().wal_bytes() as f64)),
-            (
-                "last_snapshot",
-                Json::Num(engine.store().last_snapshot_unix() as f64),
-            ),
-        ]))
+        ok(Json::obj([("snapshotted", Json::Bool(true))]))
     }
 
     fn global_versions(&self) -> Response {

@@ -1,4 +1,4 @@
-//! Crash-recovery acceptance for the durable tier: a WAL-backed engine
+//! Crash-recovery acceptance for the durable tier: a durable engine
 //! killed and reopened must resume every session's lineage with the
 //! same results a never-restarted engine produces.
 //!
@@ -11,15 +11,14 @@
 //! * **SIGKILL mid-flight** — a child process iterating two sessions is
 //!   killed without warning; the parent reopens the store and asserts
 //!   every acknowledged iteration survived and the ledger matches disk.
-//! * **WAL-tail fuzz** — the last WAL record is truncated at every byte
-//!   boundary; every prefix must open cleanly (torn tail = truncate and
-//!   warn, never refuse to start).
+//! * **Torn store entry** — an entry file cut short costs one clean
+//!   error, after which the node recomputes (never a wedged session).
 
 use helix::core::ops::ExtractorKind;
 use helix::core::session::LearnerParam;
 use helix::core::{
-    Durability, Engine, EngineConfig, IterationReport, MaterializationPolicyKind,
-    RecomputationPolicy, SessionManager, Workflow,
+    Durability, Engine, EngineConfig, HelixError, IterationReport, MaterializationPolicyKind,
+    NodeState, RecomputationPolicy, SessionManager, Workflow,
 };
 use helix::dataflow::DataType;
 use std::path::{Path, PathBuf};
@@ -71,7 +70,7 @@ fn durable_engine(store_dir: &Path) -> Arc<Engine> {
     let mut config = EngineConfig::helix(store_dir);
     config.materialization = MaterializationPolicyKind::All;
     config.recomputation = RecomputationPolicy::LoadAllAvailable;
-    config.durability = Durability::wal_nosync();
+    config.durability = Durability::Wal;
     Arc::new(Engine::new(config).unwrap())
 }
 
@@ -95,20 +94,6 @@ impl ReportFacts {
             pruned: report.pruned(),
             metrics: report.metrics.clone(),
             change_summary: report.change_summary.clone(),
-        }
-    }
-}
-
-/// Recursive directory copy (for fuzzing WAL prefixes on a scratch copy).
-fn copy_dir(from: &Path, to: &Path) {
-    std::fs::create_dir_all(to).unwrap();
-    for entry in std::fs::read_dir(from).unwrap() {
-        let entry = entry.unwrap();
-        let target = to.join(entry.file_name());
-        if entry.file_type().unwrap().is_dir() {
-            copy_dir(&entry.path(), &target);
-        } else {
-            std::fs::copy(entry.path(), &target).unwrap();
         }
     }
 }
@@ -626,7 +611,7 @@ fn sigkill_preserves_memo_and_feeds_first_post_restart_plan() {
     let mut config = EngineConfig::helix(dir.join("store")).with_replan_factor(1.0);
     config.materialization = MaterializationPolicyKind::All;
     config.recomputation = RecomputationPolicy::LoadAllAvailable;
-    config.durability = Durability::wal_nosync();
+    config.durability = Durability::Wal;
     let engine = Engine::new(config).unwrap();
     assert!(
         engine.recovery().recovered_memo_entries > 0,
@@ -656,118 +641,48 @@ fn sigkill_preserves_memo_and_feeds_first_post_restart_plan() {
     assert!(!report.metrics.is_empty());
 }
 
-/// WAL-tail fuzz: truncating the last WAL record at every byte boundary
-/// simulates every possible torn write; each prefix must open cleanly
-/// with at most the torn record's entry missing, and the recovered
-/// ledger must match disk exactly.
+/// A torn store entry costs one clean error, not every later iteration:
+/// the failed load drops the entry (file and ledger), so the next run
+/// recomputes that node and reports what a run with nothing to reuse
+/// reports, and a reopened engine never sees the torn file again.
 #[test]
-fn torn_wal_tail_opens_cleanly_at_every_truncation_point() {
-    use helix::core::store::StoreOptions;
+fn torn_store_entry_costs_one_error_then_recomputes() {
+    let dir = tmpdir("torn-entry");
+    let w = workflow(&dir).unwrap();
+    let store = dir.join("store");
+    let engine = durable_engine(&store);
+    let cold = engine.run(&w).unwrap();
+    assert_eq!(cold.loaded(), 0, "the first run has nothing to reuse");
 
-    let dir = tmpdir("fuzz");
-    workflow(&dir).unwrap();
+    // Cut one entry the next plan loads in half.
+    let plan = engine.compile_only(&w).unwrap();
+    let loaded = (0..plan.states.len())
+        .find(|&i| plan.states[i] == NodeState::Load)
+        .expect("the rerun plan loads something");
+    let path = store.join(format!("{}.hlx", plan.signatures[loaded].hex()));
+    let len = std::fs::metadata(&path).unwrap().len();
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(&path)
+        .unwrap()
+        .set_len(len / 2)
+        .unwrap();
 
-    // Populate a single-shard durable store (one WAL file to fuzz).
-    let store_dir = dir.join("store");
-    {
-        let mut config = EngineConfig::helix(&store_dir);
-        config.materialization = MaterializationPolicyKind::All;
-        config.durability = Durability::wal_nosync();
-        config.store_shards = 1;
-        let engine = Engine::new(config).unwrap();
-        engine.run(&workflow(&dir).unwrap()).unwrap();
-    }
+    let err = engine.run(&w).unwrap_err();
+    assert!(
+        matches!(err, HelixError::Store(_)),
+        "a torn entry is a clean store error, got: {err}"
+    );
+    assert!(!path.exists(), "the torn entry is dropped from disk");
+    assert_eq!(engine.store().used_bytes(), disk_hlx_bytes(&store));
 
-    let wal_path = store_dir.join("wal").join("shard-0.wal");
-    let wal = std::fs::read(&wal_path).unwrap();
-    assert!(!wal.is_empty(), "the run must have written WAL records");
-    let baseline = {
-        let store = StoreOptions::new(&store_dir)
-            .durability(Durability::wal_nosync())
-            .shards(1)
-            .open()
-            .unwrap();
-        store.len()
-    };
-    assert!(baseline > 0);
-
-    // The last record starts after the second-to-last newline.
-    let body = &wal[..wal.len() - 1]; // drop the trailing newline
-    let last_start = body
-        .iter()
-        .rposition(|&b| b == b'\n')
-        .map(|p| p + 1)
-        .unwrap_or(0);
-
-    for cut in last_start..wal.len() {
-        let scratch = dir.join(format!("scratch-{cut}"));
-        copy_dir(&store_dir, &scratch);
-        let scratch_wal = scratch.join("wal").join("shard-0.wal");
-        let file = std::fs::OpenOptions::new()
-            .write(true)
-            .open(&scratch_wal)
-            .unwrap();
-        file.set_len(cut as u64).unwrap();
-        drop(file);
-
-        let store = StoreOptions::new(&scratch)
-            .durability(Durability::wal_nosync())
-            .shards(1)
-            .open()
-            .unwrap_or_else(|e| panic!("truncation at byte {cut} refused to open: {e}"));
-        assert!(
-            store.len() == baseline || store.len() + 1 == baseline,
-            "truncation at byte {cut}: {} entries vs baseline {baseline}",
-            store.len()
-        );
-        // Ledger == disk: every counted byte is a real .hlx file. Files
-        // from the torn entry may survive on disk unreferenced (disk is
-        // ground truth for *presence*; the ledger only counts entries it
-        // replayed or adopted).
-        drop(store);
-        // Reopening the truncated store again must also be clean (the
-        // first recovery repaired the tail).
-        let reopened = StoreOptions::new(&scratch)
-            .durability(Durability::wal_nosync())
-            .shards(1)
-            .open()
-            .unwrap();
-        assert!(reopened.len() == baseline || reopened.len() + 1 == baseline);
-        std::fs::remove_dir_all(&scratch).unwrap();
-    }
-}
-
-/// Corrupting the WAL mid-file (not just the tail) must still open: the
-/// store truncates at the first bad record and adopts whatever valid
-/// `.hlx` files remain on disk.
-#[test]
-fn corrupt_wal_interior_truncates_and_adopts_disk_files() {
-    use helix::core::store::StoreOptions;
-
-    let dir = tmpdir("interior");
-    workflow(&dir).unwrap();
-    let store_dir = dir.join("store");
-    {
-        let mut config = EngineConfig::helix(&store_dir);
-        config.materialization = MaterializationPolicyKind::All;
-        config.durability = Durability::wal_nosync();
-        config.store_shards = 1;
-        let engine = Engine::new(config).unwrap();
-        engine.run(&workflow(&dir).unwrap()).unwrap();
-    }
-    let wal_path = store_dir.join("wal").join("shard-0.wal");
-    let mut wal = std::fs::read(&wal_path).unwrap();
-    let mid = wal.len() / 2;
-    wal[mid] = 0xFF; // garbage in the middle of some record
-    std::fs::write(&wal_path, &wal).unwrap();
-
-    let store = StoreOptions::new(&store_dir)
-        .durability(Durability::wal_nosync())
-        .shards(1)
-        .open()
-        .expect("interior corruption must not refuse to open");
-    // Everything materialized is still on disk, so adoption brings the
-    // store back to full strength even though the log lost records.
-    assert!(!store.is_empty());
-    assert_eq!(store.used_bytes(), disk_hlx_bytes(&store_dir));
+    let rerun = engine.run(&w).unwrap();
+    assert_eq!(
+        rerun.metrics, cold.metrics,
+        "the rerun recomputes what a run with no reuse computes"
+    );
+    drop(engine);
+    let reopened = durable_engine(&store);
+    assert_eq!(reopened.run(&w).unwrap().metrics, cold.metrics);
+    assert_eq!(reopened.store().used_bytes(), disk_hlx_bytes(&store));
 }

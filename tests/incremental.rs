@@ -95,7 +95,7 @@ proptest! {
         for (parallelism, par_tag) in [(1, "p1"), (0, "pd")] {
             for (durability, dur_tag) in [
                 (Durability::Volatile, "vol"),
-                (Durability::wal_nosync(), "wal"),
+                (Durability::Wal, "wal"),
             ] {
                 let work = tmpdir(&format!("twin-{case}-{par_tag}-{dur_tag}"));
 
@@ -221,13 +221,13 @@ fn durable_reopen_resumes_partition_reuse() {
     .unwrap();
     let store = work.join("store");
     {
-        let engine = Arc::new(Engine::new(config(&store, 0, Durability::wal_nosync())).unwrap());
+        let engine = Arc::new(Engine::new(config(&store, 0, Durability::Wal)).unwrap());
         let workflow = census_workflow(&CensusParams::initial(&data)).unwrap();
         let mut session = Session::new(engine, "before", workflow);
         session.iterate().unwrap();
     } // dropped without orderly shutdown
 
-    let engine = Arc::new(Engine::new(config(&store, 0, Durability::wal_nosync())).unwrap());
+    let engine = Arc::new(Engine::new(config(&store, 0, Durability::Wal)).unwrap());
     let workflow = census_workflow(&CensusParams::initial(&data)).unwrap();
     let mut session = Session::new(engine, "after", workflow);
     session

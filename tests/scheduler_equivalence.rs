@@ -329,7 +329,7 @@ proptest! {
     /// exact — used bytes equal the sum of surviving entries, never over
     /// budget, and every accepted entry decodes intact.
     #[test]
-    fn store_shards_keep_budget_invariants(
+    fn sharded_store_keeps_budget_invariants(
         shards in prop_oneof![Just(1usize), Just(2), Just(4), Just(16)],
         writers in 2usize..5,
         per_writer in 4u64..12,
